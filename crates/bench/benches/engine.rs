@@ -92,9 +92,7 @@ fn event_queue_ops(c: &mut Criterion) {
                 // Retire every component due at the popped horizon so
                 // the drain terminates.
                 for comp in 0..COMPS {
-                    if q.is_due(comp, w) {
-                        q.disarm(comp);
-                    }
+                    q.take_due(comp, w);
                 }
             }
             sum

@@ -103,13 +103,13 @@ pub struct ProtocolRow {
     pub skip_ratio: f64,
 }
 
-/// Calendar-queue telemetry merged over every run of the optimized
+/// Wake-table telemetry merged over every run of the optimized
 /// pass (the `scheduler` object of `BENCH_sim.json`).
 #[derive(Debug, Clone)]
 pub struct SchedSummary {
-    /// Wake events posted into the calendar queue, summed over runs.
+    /// Wake events posted into the wake table, summed over runs.
     pub events_posted: u64,
-    /// Posted events superseded by a re-arm before firing, summed.
+    /// Posted wakes replaced or disarmed before firing, summed.
     pub events_cancelled: u64,
     /// `events_cancelled / events_posted` (0 when nothing was posted).
     pub cancel_ratio: f64,

@@ -115,13 +115,6 @@ impl DramChannel {
         self.peak_queue = self.peak_queue.max(self.queue.len());
     }
 
-    /// Whether a request's bank could accept a column command this cycle
-    /// (row already open and CAS-ready).
-    fn is_row_hit_ready(&self, req: &Request, now: u64) -> bool {
-        let bank = &self.banks[self.bank_of(req.line)];
-        bank.open_row == Some(self.row_of(req.line)) && bank.col_ready <= now
-    }
-
     /// Advances the channel one core cycle; returns read completions.
     pub fn tick(&mut self, now: Cycle) -> Vec<LineAddr> {
         let now = now.raw();
@@ -146,29 +139,34 @@ impl DramChannel {
         done
     }
 
+    /// FR-FCFS in one pass over the queue: the oldest row-hit-ready
+    /// request, else the oldest request whose bank can start work — its
+    /// row is already open (the column command merely waits for
+    /// `col_ready`), or the activate path is clear.
     fn pick(&self, now: u64) -> Option<usize> {
-        // First ready (row hit)…
-        if let Some(i) = (0..self.queue.len()).find(|&i| self.is_row_hit_ready(&self.queue[i], now))
-        {
-            return Some(i);
-        }
-        // …then first come among requests whose bank can start work.
-        (0..self.queue.len()).find(|&i| {
-            let req = &self.queue[i];
+        let act_clear = |bank: &Bank| {
+            bank.pre_ready <= now && bank.act_ready <= now && self.any_act_ready <= now
+        };
+        let mut fallback = None;
+        for (i, req) in self.queue.iter().enumerate() {
             let bank = &self.banks[self.bank_of(req.line)];
-            // Either ready to activate a new row, or a same-row command
-            // that merely waits for col_ready soon — only issue when the
-            // activate path is clear to keep the model simple.
-            bank.open_row == Some(self.row_of(req.line))
-                || (bank.pre_ready <= now && bank.act_ready <= now && self.any_act_ready <= now)
-        })
+            let row_open = bank.open_row == Some(self.row_of(req.line));
+            if row_open && bank.col_ready <= now {
+                return Some(i);
+            }
+            if fallback.is_none() && (row_open || act_clear(bank)) {
+                fallback = Some(i);
+            }
+        }
+        fallback
     }
 
     fn service(&mut self, req: Request, now: u64) {
         // Chaos: pretend the command was picked `stretch` cycles later
-        // than it really was. One draw pair per serviced command (event-
-        // driven), and purely a delay, so `next_event`'s poll-while-
-        // queued contract is unaffected.
+        // than it really was. One draw pair per serviced command, and
+        // purely a delay applied after the pick: `next_event`'s issue
+        // horizon is a function of the bank state the pick reads, so
+        // the jitter cannot make a skipped cycle act.
         let now = match &mut self.chaos {
             Some(c) => now + c.jitter(Site::DramCommand) + c.jitter(Site::DramRefresh),
             None => now,
@@ -232,16 +230,31 @@ impl DramChannel {
         self.queue.len() + self.completions.len()
     }
 
-    /// Earliest cycle at which something will complete or could issue,
-    /// if known (lets the simulator skip idle cycles). While commands
-    /// are queued the channel arbitrates every cycle (bank timing may
-    /// free up at any point), so the queue takes precedence over any
-    /// known completion time.
+    /// The exact next cycle at which [`Self::tick`] acts: the earliest
+    /// of the next read completion and the *issue horizon* — the first
+    /// cycle [`Self::pick`] can return a request. Every earlier tick is a
+    /// no-op, so the simulator may skip straight here.
+    ///
+    /// Bank state only changes when a command is serviced, so the
+    /// horizon is exact until the next `tick` or `enqueue`: a request
+    /// whose row is open can issue on any cycle (reported as
+    /// `Cycle(0)`, "now"), and any other request can issue once
+    /// `max(pre_ready, act_ready, any_act_ready)` has passed.
     pub fn next_event(&self) -> Option<Cycle> {
-        if !self.queue.is_empty() {
-            return Some(Cycle(0)); // work queued: poll every cycle
-        }
-        self.completions.iter().map(|(at, _)| *at).min().map(Cycle)
+        let issue = self
+            .queue
+            .iter()
+            .map(|req| {
+                let bank = &self.banks[self.bank_of(req.line)];
+                if bank.open_row == Some(self.row_of(req.line)) {
+                    0
+                } else {
+                    bank.pre_ready.max(bank.act_ready).max(self.any_act_ready)
+                }
+            })
+            .min();
+        let done = self.completions.iter().map(|(at, _)| *at).min();
+        issue.into_iter().chain(done).min().map(Cycle)
     }
 
     /// Reads serviced.

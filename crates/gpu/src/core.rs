@@ -137,10 +137,13 @@ enum Micro {
     BarrierBackoff { until: u64 },
 }
 
-#[derive(Debug)]
 struct Warp {
     program: Vec<MemOp>,
     pc: usize,
+    /// `program[pc]`, kept beside the hot per-warp fields so the
+    /// per-cycle scans never touch the program itself. Derived state:
+    /// updated by [`Warp::advance`], the only way `pc` moves.
+    op: Option<MemOp>,
     wg_index: usize,
     micro: Micro,
     busy_until: u64,
@@ -156,7 +159,34 @@ struct Warp {
 
 impl Warp {
     fn current_op(&self) -> Option<MemOp> {
-        self.program.get(self.pc).copied()
+        self.op
+    }
+
+    /// Moves to the next program op.
+    fn advance(&mut self) {
+        self.pc += 1;
+        self.op = self.program.get(self.pc).copied();
+    }
+}
+
+/// Lists the fields a derived `Debug` would, minus the cached op, so
+/// state digests cover exactly the architectural state.
+impl std::fmt::Debug for Warp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Warp")
+            .field("program", &self.program)
+            .field("pc", &self.pc)
+            .field("wg_index", &self.wg_index)
+            .field("micro", &self.micro)
+            .field("busy_until", &self.busy_until)
+            .field("at_fence", &self.at_fence)
+            .field("waiting_local", &self.waiting_local)
+            .field("outstanding", &self.outstanding)
+            .field("wait_for_issue", &self.wait_for_issue)
+            .field("max_gwct", &self.max_gwct)
+            .field("barriers_passed", &self.barriers_passed)
+            .field("done", &self.done)
+            .finish()
     }
 }
 
@@ -207,7 +237,6 @@ pub struct CoreOutput {
 }
 
 /// One streaming multiprocessor.
-#[derive(Debug)]
 pub struct Core {
     id: CoreId,
     params: CoreParams,
@@ -217,6 +246,26 @@ pub struct Core {
     sched_ptr: usize,
     stats: CoreStats,
     retired_warps: usize,
+    /// Per-tick scratch: whether each warp has a memory access that
+    /// ordering lets it issue, as [`Core::tick`]'s bookkeeping phase
+    /// found. Not state — rewritten before every read.
+    issuable: Vec<bool>,
+}
+
+/// Lists the fields a derived `Debug` would, minus the per-tick scratch,
+/// so state digests cover exactly the architectural state.
+impl std::fmt::Debug for Core {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Core")
+            .field("id", &self.id)
+            .field("params", &self.params)
+            .field("warps", &self.warps)
+            .field("wg_epochs", &self.wg_epochs)
+            .field("sched_ptr", &self.sched_ptr)
+            .field("stats", &self.stats)
+            .field("retired_warps", &self.retired_warps)
+            .finish()
+    }
 }
 
 impl Core {
@@ -240,6 +289,7 @@ impl Core {
                 let program = programs.get(i).map(|p| p.ops.clone()).unwrap_or_default();
                 let done = program.is_empty();
                 Warp {
+                    op: program.first().copied(),
                     program,
                     pc: 0,
                     wg_index: i / wpw,
@@ -256,6 +306,7 @@ impl Core {
             })
             .collect();
         let retired = warps.iter().filter(|w| w.done).count();
+        let num_warps = warps.len();
         Core {
             id,
             params,
@@ -264,6 +315,7 @@ impl Core {
             sched_ptr: 0,
             stats: CoreStats::default(),
             retired_warps: retired,
+            issuable: vec![false; num_warps],
         }
     }
 
@@ -692,6 +744,7 @@ impl Core {
             let fence_policy = self.params.fence_policy;
             let epoch = self.wg_epochs[self.warps[i].wg_index];
             let warp = &mut self.warps[i];
+            self.issuable[i] = false;
             if warp.done {
                 continue;
             }
@@ -699,7 +752,7 @@ impl Core {
             if let Some(need) = warp.waiting_local {
                 if epoch >= need {
                     warp.waiting_local = None;
-                    warp.pc += 1;
+                    warp.advance();
                 }
             }
             // Fence retirement.
@@ -708,7 +761,7 @@ impl Core {
                 let gwct_ok = fence_policy != FencePolicy::DrainGwct || now > warp.max_gwct;
                 if drained && gwct_ok {
                     warp.at_fence = false;
-                    warp.pc += 1;
+                    warp.advance();
                     out.fences_retired.push(WarpId(i));
                 } else {
                     self.stats.fence_stall_cycles += 1;
@@ -725,10 +778,13 @@ impl Core {
                 self.retired_warps += 1;
             }
             // SC stall accounting: the warp has an access it would issue
-            // this cycle but ordering forbids it.
+            // this cycle but ordering forbids it. The verdict stands for
+            // phase 2: until an issue ends the tick, nothing changes a
+            // warp's intent or ordering state.
             let warp = &self.warps[i];
             if let Some((_, addr, _, is_sync)) = self.issue_intent(warp, now) {
                 let allowed = self.ordering_allows(warp, addr, is_sync);
+                self.issuable[i] = allowed;
                 if !allowed {
                     let prev = warp
                         .outstanding
@@ -745,17 +801,16 @@ impl Core {
         // Phase 2: scheduling — issue at most one instruction, visiting
         // warps in the policy's preference order.
         let n = self.warps.len();
-        let order: Vec<usize> = match self.params.scheduler {
-            SchedPolicy::LooseRoundRobin => (0..n).map(|off| (self.sched_ptr + off) % n).collect(),
-            SchedPolicy::GreedyThenOldest => {
-                // Greedy: last issuer first, then oldest (lowest id).
-                let last = self.sched_ptr.checked_sub(1).map_or(n - 1, |x| x);
-                std::iter::once(last)
-                    .chain((0..n).filter(move |i| *i != last))
-                    .collect()
-            }
-        };
-        for i in order {
+        // Greedy-then-oldest visits the last issuer first, then the
+        // others oldest (lowest id) first.
+        let last = self.sched_ptr.checked_sub(1).map_or(n - 1, |x| x);
+        for k in 0..n {
+            let i = match self.params.scheduler {
+                SchedPolicy::LooseRoundRobin => (self.sched_ptr + k) % n,
+                SchedPolicy::GreedyThenOldest if k == 0 => last,
+                SchedPolicy::GreedyThenOldest if k <= last => k - 1,
+                SchedPolicy::GreedyThenOldest => k,
+            };
             let now_op = {
                 let warp = &self.warps[i];
                 if warp.done || warp.busy_until > now || warp.at_fence {
@@ -770,7 +825,7 @@ impl Core {
                     let warp = &mut self.warps[i];
                     out.issued_op = Some((i, warp.pc));
                     warp.busy_until = now + c.max(1) as u64;
-                    warp.pc += 1;
+                    warp.advance();
                     self.stats.issued += 1;
                     self.sched_ptr = (i + 1) % n;
                     return out;
@@ -780,7 +835,7 @@ impl Core {
                     out.issued_op = Some((i, warp.pc));
                     self.stats.issued += 1;
                     if self.params.fence_policy == FencePolicy::Free {
-                        warp.pc += 1;
+                        warp.advance();
                     } else {
                         warp.at_fence = true;
                     }
@@ -796,7 +851,7 @@ impl Core {
                     out.issued_op = Some((i, warp.pc));
                     self.stats.issued += 1;
                     if self.wg_epochs[wg] >= epoch {
-                        warp.pc += 1;
+                        warp.advance();
                     } else {
                         warp.waiting_local = Some(epoch);
                     }
@@ -809,21 +864,20 @@ impl Core {
                     // it is idle, not stalled.)
                     let warp = &mut self.warps[i];
                     out.issued_op = Some((i, warp.pc));
-                    warp.pc += 1;
+                    warp.advance();
                     self.stats.issued += 1;
                     self.sched_ptr = (i + 1) % n;
                     return out;
                 }
                 _ => {}
             }
-            // Memory issue.
-            let Some((kind, addr, purpose, is_sync)) = self.issue_intent(&self.warps[i], now)
-            else {
+            // Memory issue (an ordering stall was already counted).
+            if !self.issuable[i] {
                 continue;
-            };
-            if !self.ordering_allows(&self.warps[i], addr, is_sync) {
-                continue; // ordering stall, already counted
             }
+            let Some((kind, addr, purpose, _)) = self.issue_intent(&self.warps[i], now) else {
+                unreachable!("phase 1 found an issuable intent");
+            };
             // First presentation of the program op at `pc` (as opposed
             // to a lock-CAS retry or barrier re-poll out of a backoff
             // state) — what the trace recorder pins the issue cycle of.
@@ -893,7 +947,7 @@ impl Core {
                 // SC the warp simply cannot issue the next one until the
                 // completion arrives.
                 warp.micro = Micro::Fresh;
-                warp.pc += 1;
+                warp.advance();
             }
             _ => warp.micro = Micro::SyncWait,
         }
@@ -937,7 +991,7 @@ impl Core {
             Purpose::Plain => {}
             Purpose::Unlock => {
                 warp.micro = Micro::Fresh;
-                warp.pc += 1;
+                warp.advance();
             }
             Purpose::LockAttempt => {
                 let CompletionKind::AtomicDone { old } = completion.kind else {
@@ -945,7 +999,7 @@ impl Core {
                 };
                 if old == 0 {
                     warp.micro = Micro::Fresh;
-                    warp.pc += 1;
+                    warp.advance();
                 } else {
                     self.stats.lock_retries += 1;
                     let backoff = self.params.lock_backoff + (i as u64 * 7) % 64;
@@ -965,7 +1019,7 @@ impl Core {
                 };
                 if seen >= members {
                     warp.micro = Micro::Fresh;
-                    warp.pc += 1;
+                    warp.advance();
                     warp.barriers_passed += 1;
                     let wg = warp.wg_index;
                     let passed = warp.barriers_passed;

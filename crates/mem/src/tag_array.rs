@@ -8,11 +8,17 @@
 
 use crate::data::LineData;
 use rcc_common::addr::LineAddr;
+use std::fmt;
+
+/// Tag of an empty way. No real line has this address: a line address
+/// is a byte or word address divided by the line size.
+const EMPTY: u64 = u64::MAX;
 
 /// One resident cache line.
 #[derive(Debug, Clone)]
 pub struct Line<S> {
-    /// Which memory line is cached here.
+    /// Which memory line is cached here. The array indexes lines by
+    /// it, so it must not change while the line is resident.
     pub addr: LineAddr,
     /// Protocol metadata (state + timestamps).
     pub state: S,
@@ -32,7 +38,7 @@ pub struct Evicted<S> {
 }
 
 /// A set-associative array of [`Line`]s with per-set LRU.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct TagArray<S> {
     sets: usize,
     ways: usize,
@@ -42,7 +48,24 @@ pub struct TagArray<S> {
     /// bank aliases into a fraction of its sets).
     stride: u64,
     slots: Vec<Option<Line<S>>>,
+    /// `slots[i]`'s line address, or [`EMPTY`]: lookups scan these
+    /// 8-byte tags instead of striding across whole lines.
+    tags: Vec<u64>,
     tick: u64,
+}
+
+/// Lists the same fields a derived `Debug` would, minus the tag vector
+/// (a pure index over `slots`), so state digests do not depend on it.
+impl<S: fmt::Debug> fmt::Debug for TagArray<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TagArray")
+            .field("sets", &self.sets)
+            .field("ways", &self.ways)
+            .field("stride", &self.stride)
+            .field("slots", &self.slots)
+            .field("tick", &self.tick)
+            .finish()
+    }
 }
 
 impl<S> TagArray<S> {
@@ -69,6 +92,7 @@ impl<S> TagArray<S> {
             ways,
             stride,
             slots: std::iter::repeat_with(|| None).take(sets * ways).collect(),
+            tags: vec![EMPTY; sets * ways],
             tick: 0,
         }
     }
@@ -88,32 +112,36 @@ impl<S> TagArray<S> {
         set * self.ways..(set + 1) * self.ways
     }
 
+    /// The slot of the first way in `range` whose tag is `tag`.
+    fn find_way(&self, range: std::ops::Range<usize>, tag: u64) -> Option<usize> {
+        let start = range.start;
+        self.tags[range]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| start + w)
+    }
+
+    /// The slot holding `addr`, if resident.
+    fn slot_of(&self, addr: LineAddr) -> Option<usize> {
+        self.find_way(self.set_range(addr), addr.0)
+    }
+
     /// Looks up a line without updating LRU state.
     pub fn probe(&self, addr: LineAddr) -> Option<&Line<S>> {
-        self.slots[self.set_range(addr)]
-            .iter()
-            .flatten()
-            .find(|l| l.addr == addr)
+        self.slots[self.slot_of(addr)?].as_ref()
     }
 
     /// Looks up a line mutably without updating LRU state.
     pub fn probe_mut(&mut self, addr: LineAddr) -> Option<&mut Line<S>> {
-        let range = self.set_range(addr);
-        self.slots[range]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.addr == addr)
+        let i = self.slot_of(addr)?;
+        self.slots[i].as_mut()
     }
 
     /// Looks up a line and marks it most-recently-used.
     pub fn access(&mut self, addr: LineAddr) -> Option<&mut Line<S>> {
         self.tick += 1;
         let tick = self.tick;
-        let range = self.set_range(addr);
-        let line = self.slots[range]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.addr == addr)?;
+        let line = self.probe_mut(addr)?;
         line.last_use = tick;
         Some(line)
     }
@@ -137,6 +165,7 @@ impl<S> TagArray<S> {
         dirty: bool,
         replaceable: impl Fn(LineAddr, &S) -> bool,
     ) -> Result<Option<Evicted<S>>, ()> {
+        debug_assert_ne!(addr.0, EMPTY, "line address collides with the empty tag");
         self.tick += 1;
         let tick = self.tick;
         let range = self.set_range(addr);
@@ -149,17 +178,17 @@ impl<S> TagArray<S> {
         };
 
         // Already resident: replace in place (no eviction).
-        if let Some(slot) = self.slots[range.clone()]
-            .iter_mut()
-            .find(|s| s.as_ref().is_some_and(|l| l.addr == addr))
-        {
-            let old = slot.replace(new_line).expect("slot checked non-empty");
+        if let Some(i) = self.find_way(range.clone(), addr.0) {
+            let old = self.slots[i]
+                .replace(new_line)
+                .expect("tagged slot is full");
             return Ok(Some(Evicted { line: old }));
         }
 
         // Empty way.
-        if let Some(slot) = self.slots[range.clone()].iter_mut().find(|s| s.is_none()) {
-            *slot = Some(new_line);
+        if let Some(i) = self.find_way(range.clone(), EMPTY) {
+            self.slots[i] = Some(new_line);
+            self.tags[i] = addr.0;
             return Ok(None);
         }
 
@@ -173,9 +202,12 @@ impl<S> TagArray<S> {
             .map(|(i, _)| i);
 
         match victim_idx {
-            Some(i) => {
-                let slot = &mut self.slots[range][i];
-                let old = slot.replace(new_line).expect("victim slot non-empty");
+            Some(w) => {
+                let i = range.start + w;
+                let old = self.slots[i]
+                    .replace(new_line)
+                    .expect("victim slot non-empty");
+                self.tags[i] = addr.0;
                 Ok(Some(Evicted { line: old }))
             }
             None => Err(()),
@@ -191,14 +223,13 @@ impl<S> TagArray<S> {
         replaceable: impl Fn(LineAddr, &S) -> bool,
     ) -> Option<&Line<S>> {
         let range = self.set_range(addr);
-        let slots = &self.slots[range];
-        if slots
+        if self.tags[range.clone()]
             .iter()
-            .any(|s| s.is_none() || s.as_ref().is_some_and(|l| l.addr == addr))
+            .any(|&t| t == EMPTY || t == addr.0)
         {
             return None;
         }
-        slots
+        self.slots[range]
             .iter()
             .flatten()
             .filter(|l| replaceable(l.addr, &l.state))
@@ -207,15 +238,14 @@ impl<S> TagArray<S> {
 
     /// Removes a line, returning it.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<Line<S>> {
-        let range = self.set_range(addr);
-        self.slots[range]
-            .iter_mut()
-            .find(|s| s.as_ref().is_some_and(|l| l.addr == addr))?
-            .take()
+        let i = self.slot_of(addr)?;
+        self.tags[i] = EMPTY;
+        self.slots[i].take()
     }
 
     /// Removes every line, returning them (used by the RCC rollover flush).
     pub fn drain(&mut self) -> Vec<Line<S>> {
+        self.tags.fill(EMPTY);
         self.slots.iter_mut().filter_map(|s| s.take()).collect()
     }
 
@@ -231,7 +261,7 @@ impl<S> TagArray<S> {
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Whether the array holds no lines.
@@ -341,6 +371,16 @@ mod tests {
         a.fill(LineAddr(0), 0u32, LineData::zeroed(), true, |_, _| true)
             .unwrap();
         assert!(a.probe(LineAddr(0)).unwrap().dirty);
+    }
+
+    #[test]
+    fn debug_output_omits_the_tag_index() {
+        let mut a = arr();
+        fill_ok(&mut a, 2, 4);
+        let text = format!("{a:?}");
+        assert!(text.starts_with("TagArray { sets: 2, ways: 2, stride: 1, slots: [Some(Line {"));
+        assert!(text.ends_with("None, None], tick: 1 }"), "{text}");
+        assert!(!text.contains("tags"));
     }
 
     #[test]

@@ -12,33 +12,17 @@ use rcc_chaos::{PerturbPoint, Site};
 use rcc_common::config::{NocParams, NocTopology};
 use rcc_common::snap::StateDigest;
 use rcc_common::time::Cycle;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
+
+/// Head key of an empty port: sorts after every real packet.
+const NO_PACKET: (u64, u64) = (u64::MAX, u64::MAX);
 
 /// A packet in flight (internal).
 struct InFlight<T> {
     deliver_at: u64,
     /// Monotonic tiebreaker so equal-time deliveries keep injection order.
     order: u64,
-    dst: usize,
     payload: T,
-}
-
-impl<T> PartialEq for InFlight<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.deliver_at, self.order) == (other.deliver_at, other.order)
-    }
-}
-impl<T> Eq for InFlight<T> {}
-impl<T> PartialOrd for InFlight<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for InFlight<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.order).cmp(&(other.deliver_at, other.order))
-    }
 }
 
 /// Tile coordinates of every endpoint on a near-square grid, for the
@@ -88,7 +72,18 @@ pub struct Network<T> {
     num_vcs: usize,
     src_free_at: Vec<u64>,
     dst_free_at: Vec<u64>,
-    in_flight: BinaryHeap<Reverse<InFlight<T>>>,
+    /// In-flight packets, one FIFO per ejection port. A packet's
+    /// delivery time is its port's new `dst_free_at`, which never
+    /// decreases, and `order` increases with every injection — so each
+    /// port's FIFO is already sorted by `(deliver_at, order)` and its
+    /// front is the port's next delivery.
+    ports: Vec<VecDeque<InFlight<T>>>,
+    /// `(deliver_at, order)` of each port's front packet, or
+    /// [`NO_PACKET`]: `deliver` and `next_event` scan this dense array
+    /// instead of every port's queue.
+    heads: Vec<(u64, u64)>,
+    /// Packets across all ports.
+    in_flight: usize,
     next_order: u64,
     /// Chaos hook: adds bounded jitter to a packet's traversal latency
     /// (`Site::NocTraversal`). Applied *before* ejection-port
@@ -130,7 +125,9 @@ impl<T> Network<T> {
             num_vcs,
             src_free_at: vec![0; num_srcs],
             dst_free_at: vec![0; num_dsts],
-            in_flight: BinaryHeap::new(),
+            ports: (0..num_dsts).map(|_| VecDeque::new()).collect(),
+            heads: vec![NO_PACKET; num_dsts],
+            in_flight: 0,
             next_order: 0,
             chaos: None,
             flits_injected: 0,
@@ -151,8 +148,9 @@ impl<T> Network<T> {
         self.chaos = Some(hook);
     }
 
-    /// Injects a packet of `flits` flits from `src` to `dst` on `vc`.
-    /// The virtual channel affects statistics only; see the module docs.
+    /// Injects a packet of `flits` flits from `src` to `dst` on `vc` and
+    /// returns the cycle it will be delivered. The virtual channel
+    /// affects statistics only; see the module docs.
     pub fn inject(
         &mut self,
         now: Cycle,
@@ -161,7 +159,7 @@ impl<T> Network<T> {
         _vc: usize,
         flits: u64,
         payload: T,
-    ) {
+    ) -> Cycle {
         let start = self.src_free_at[src].max(now.raw());
         let serialized = start + flits * self.cycles_per_flit;
         self.src_free_at[src] = serialized;
@@ -183,39 +181,62 @@ impl<T> Network<T> {
         self.flit_hops += flits * hops;
         self.packets_injected += 1;
         self.total_packet_latency += delivered - now.raw();
-        self.in_flight.push(Reverse(InFlight {
+        if self.ports[dst].is_empty() {
+            self.heads[dst] = (delivered, self.next_order);
+        }
+        self.ports[dst].push_back(InFlight {
             deliver_at: delivered,
             order: self.next_order,
-            dst,
             payload,
-        }));
+        });
         self.next_order += 1;
-        self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len());
+        self.in_flight += 1;
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
+        Cycle(delivered)
     }
 
     /// Removes and returns all packets whose delivery time has arrived,
-    /// as `(dst, payload)` pairs in delivery order.
+    /// as `(dst, payload)` pairs in `(deliver_at, order)` order — the
+    /// global injection-stable delivery order.
     pub fn deliver(&mut self, now: Cycle) -> Vec<(usize, T)> {
         let mut out = Vec::new();
-        while let Some(Reverse(head)) = self.in_flight.peek() {
-            if head.deliver_at > now.raw() {
-                break;
-            }
-            let Reverse(p) = self.in_flight.pop().expect("peeked");
-            out.push((p.dst, p.payload));
-        }
+        self.deliver_into(now, &mut out);
         out
     }
 
+    /// [`Self::deliver`] into a caller-owned buffer (appended to), so a
+    /// simulator delivering every few cycles reuses one allocation.
+    pub fn deliver_into(&mut self, now: Cycle, out: &mut Vec<(usize, T)>) {
+        let now = now.raw();
+        let before = out.len();
+        // Repeatedly take the least due port front. Each port is sorted
+        // and `order` is unique, so this merge yields the order one queue
+        // keyed on `(deliver_at, order)` would.
+        while let Some((dst, _)) = self
+            .heads
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, head)| *head)
+            .filter(|&(_, head)| head.0 <= now)
+        {
+            let port = &mut self.ports[dst];
+            let p = port.pop_front().expect("a head key names a packet");
+            self.heads[dst] = port.front().map_or(NO_PACKET, |n| (n.deliver_at, n.order));
+            out.push((dst, p.payload));
+        }
+        self.in_flight -= out.len() - before;
+    }
+
     /// Earliest pending delivery time, if any (lets the simulator skip
-    /// idle cycles).
+    /// idle cycles): the earliest port front.
     pub fn next_event(&self) -> Option<Cycle> {
-        self.in_flight.peek().map(|Reverse(p)| Cycle(p.deliver_at))
+        let at = self.heads.iter().fold(u64::MAX, |m, h| m.min(h.0));
+        (at != u64::MAX).then_some(Cycle(at))
     }
 
     /// Packets currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.in_flight
     }
 
     /// High-water mark of packets simultaneously in flight — the
@@ -226,7 +247,7 @@ impl<T> Network<T> {
 
     /// Whether nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.in_flight.is_empty()
+        self.in_flight == 0
     }
 
     /// Total flits injected so far.
@@ -267,17 +288,18 @@ impl<T> Network<T> {
         d.write_debug(&self.src_free_at);
         d.write_debug(&self.dst_free_at);
         d.write_u64(self.next_order);
-        // The heap's internal layout depends on its push/pop history, so
-        // fold the packets order-independently: the digest reflects the
-        // *set* of in-flight packets, not the heap's array order.
+        // Fold the packets order-independently: the digest reflects the
+        // *set* of in-flight packets, not how they are stored.
         let mut acc: u64 = 0;
-        for Reverse(p) in &self.in_flight {
-            let mut e = StateDigest::new();
-            e.write_u64(p.deliver_at);
-            e.write_u64(p.order);
-            e.write_u64(p.dst as u64);
-            e.write_debug(&p.payload);
-            acc ^= e.finish();
+        for (dst, port) in self.ports.iter().enumerate() {
+            for p in port {
+                let mut e = StateDigest::new();
+                e.write_u64(p.deliver_at);
+                e.write_u64(p.order);
+                e.write_u64(dst as u64);
+                e.write_debug(&p.payload);
+                acc ^= e.finish();
+            }
         }
         d.write_u64(acc);
         if let Some(c) = &self.chaos {

@@ -9,20 +9,23 @@ use rcc_gpu::CoreStats;
 use rcc_noc::EnergyBreakdown;
 use rcc_obs::{DigestWriter, ObsReport, SimProfile};
 
-/// Telemetry of the event-driven engine's calendar queue: how many wake
-/// events were posted and superseded, how deep the queue ran, and how
-/// far its exact wakes sat from the conservative min-scan hint. Pure
-/// engine measurement — two runs with identical simulated results may
-/// differ here (e.g. scheduled vs. stepped).
+/// Telemetry of the event-driven engine's wake table (see
+/// [`crate::sched`]): how many wakes were posted and superseded, how
+/// many components were armed at once, and how far the exact wakes sat
+/// from the conservative min-scan hint. Pure engine measurement — two
+/// runs with identical simulated results may differ here (e.g.
+/// scheduled vs. stepped).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedStats {
-    /// Wake events posted into the calendar queue.
+    /// Wakes posted: arms that changed a component's slot.
     pub events_posted: u64,
-    /// Posted events superseded by a re-arm before firing.
+    /// Posted wakes replaced or disarmed before they fired. A wake that
+    /// fires is never counted, so `events_cancelled / events_posted` is
+    /// the share of arms that were superseded.
     pub events_cancelled: u64,
-    /// Median queue depth sampled at every post.
+    /// Median number of armed components, sampled at every post.
     pub queue_depth_p50: u64,
-    /// Peak queue depth.
+    /// Peak number of armed components.
     pub queue_depth_max: u64,
     /// Mean |exact wake − min-scan hint| over sampled jumps (0 when the
     /// queue and the conservative scan agree, as they do when every

@@ -133,16 +133,18 @@ struct ReplayTo {
     state_digest: u64,
 }
 
-fn run_system<P: Protocol>(
+/// Builds the system for a run and arms everything `opts` asks for that
+/// both run paths share: fast-forward, chaos, sanitizer, observer and
+/// self-profiling.
+fn configured_system<P: Protocol>(
     protocol: &P,
     cfg: &GpuConfig,
     workload: &Workload,
     opts: &SimOptions,
-    replay: Option<ReplayTo>,
-) -> Result<RunMetrics, SimError> {
-    let kind = protocol.kind();
-    let check = opts.check_sc && kind.supports_sc();
+) -> System<P> {
+    let check = opts.check_sc && protocol.kind().supports_sc();
     let mut system = System::new(protocol, cfg, workload, check);
+    system.discard_load_log();
     system.set_fast_forward(opts.fast_forward);
     if let Some(spec) = &opts.chaos {
         system.set_chaos(spec);
@@ -158,26 +160,43 @@ fn run_system<P: Protocol>(
         });
     }
     system.set_profiling(opts.profile);
+    system
+}
+
+/// Resume: replays to the checkpointed cycle, then proves the rebuilt
+/// machine is the checkpointed machine before running on. A mismatch
+/// means the binary, config, or workload no longer reproduces the
+/// original history — continuing would silently diverge, so it is a
+/// typed error instead.
+fn replay_to<P: Protocol>(system: &mut System<P>, target: ReplayTo) -> Result<(), SimError> {
+    system.run_until(target.cycle)?;
+    let digest = system.state_digest();
+    if digest != target.state_digest {
+        return Err(SimError::Checkpoint(format!(
+            "state digest mismatch after replay to cycle {}: \
+             checkpoint has {:016x}, replay produced {digest:016x}",
+            target.cycle, target.state_digest
+        )));
+    }
+    Ok(())
+}
+
+fn run_system<P: Protocol>(
+    protocol: &P,
+    cfg: &GpuConfig,
+    workload: &Workload,
+    opts: &SimOptions,
+    replay: Option<ReplayTo>,
+) -> Result<RunMetrics, SimError> {
+    let kind = protocol.kind();
+    let mut system = configured_system(protocol, cfg, workload, opts);
     if opts.record_trace.is_some() && replay.is_none() {
         system.set_trace_recorder(rcc_trace::TraceRecorder::new(workload));
     }
 
     let outcome = (|| {
         if let Some(target) = replay {
-            // Resume: replay to the checkpointed cycle, then prove the
-            // rebuilt machine is the checkpointed machine before running
-            // on. A mismatch means the binary, config, or workload no
-            // longer reproduces the original history — continuing would
-            // silently diverge, so it is a typed error instead.
-            system.run_until(target.cycle)?;
-            let digest = system.state_digest();
-            if digest != target.state_digest {
-                return Err(SimError::Checkpoint(format!(
-                    "state digest mismatch after replay to cycle {}: \
-                     checkpoint has {:016x}, replay produced {digest:016x}",
-                    target.cycle, target.state_digest
-                )));
-            }
+            replay_to(&mut system, target)?;
         }
         if opts.checkpoint_every > 0 {
             if let Some(path) = &opts.checkpoint {
@@ -289,36 +308,13 @@ fn run_slice<P: Protocol>(
     replay: Option<ReplayTo>,
 ) -> Result<SliceOutcome, SimError> {
     let kind = protocol.kind();
-    let check = opts.check_sc && kind.supports_sc();
-    let mut system = System::new(protocol, cfg, workload, check);
-    system.set_fast_forward(opts.fast_forward);
-    if let Some(spec) = &opts.chaos {
-        system.set_chaos(spec);
-    }
-    if opts.sanitize {
-        system.enable_sanitizer();
-    }
-    if opts.sample_every > 0 || opts.trace {
-        system.set_observer(rcc_obs::ObsConfig {
-            sample_every: opts.sample_every,
-            trace: opts.trace,
-            max_trace_events: 1_000_000,
-        });
-    }
+    let mut system = configured_system(protocol, cfg, workload, opts);
     // Slice mode arms no trace recorder and writes no periodic disk
     // snapshots: the checkpoint it yields lives in memory, owned by the
     // caller (e.g. the rcc-serve job table). Trace-recording jobs run
     // through `try_simulate` in a single slice instead.
     if let Some(target) = replay {
-        system.run_until(target.cycle)?;
-        let digest = system.state_digest();
-        if digest != target.state_digest {
-            return Err(SimError::Checkpoint(format!(
-                "state digest mismatch after replay to cycle {}: \
-                 checkpoint has {:016x}, replay produced {digest:016x}",
-                target.cycle, target.state_digest
-            )));
-        }
+        replay_to(&mut system, target)?;
     }
     let boundary = system.cycle().raw().saturating_add(opts.quantum);
     if opts.quantum > 0 && boundary < opts.max_cycles {

@@ -1,9 +1,9 @@
-//! The calendar queue at the heart of the event-driven engine.
+//! The wake table at the heart of the event-driven engine.
 //!
 //! Every timed component of the [`System`](crate::System) — cores, L1
 //! controllers, the two NoC directions, L2 banks, bank inboxes, L2 delay
-//! pipes, DRAM channels — owns one slot in this queue holding the exact
-//! next cycle at which that component must run. The engine pops the
+//! pipes, DRAM channels — owns one slot in this table holding the exact
+//! next cycle at which that component must run. The engine takes the
 //! earliest armed cycle, jumps straight to it, and executes only the
 //! components that are due; everything else costs nothing, even in the
 //! middle of a busy phase.
@@ -18,16 +18,13 @@
 //! bit-identical to a stepped one because every skipped cycle is proven
 //! action-free by the components' own exact `next_event` contracts.
 //!
-//! # Lazy invalidation
+//! # The armed array is the queue
 //!
-//! Re-arming a component does not search the heap for its old entry.
-//! The `armed` array is the single source of truth; heap entries are
-//! hints, and an entry whose cycle no longer matches `armed[comp]` is
-//! stale and discarded (counted as a cancellation) when it surfaces.
-//! This keeps every operation O(log n) with no auxiliary indices.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! There is one slot per component (a few dozen on the largest machine)
+//! and a re-arm simply overwrites it, so no index over the slots is
+//! kept: [`EventQueue::next_wake`] is a linear minimum over the array.
+//! A scan of a few dozen contiguous words costs less than the heap it
+//! replaces, whose stale hints outnumbered live slots ten to one.
 
 /// A component's slot value meaning "no spontaneous wake scheduled".
 const DISARMED: u64 = u64::MAX;
@@ -36,23 +33,20 @@ const DISARMED: u64 = u64::MAX;
 /// the last bucket).
 const DEPTH_BUCKETS: usize = 256;
 
-/// Deterministic calendar/priority queue of per-component wake cycles.
+/// Deterministic table of per-component wake cycles.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Exact next wake cycle per component (`u64::MAX` = disarmed).
-    /// This array is authoritative; the heap is a lazy index over it.
     armed: Vec<u64>,
-    /// Min-heap of `(cycle, component)` hints. Ties break on the
-    /// component id purely to keep the heap's internal order a pure
-    /// function of its contents.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Slots currently armed (the queue depth).
+    depth: u64,
     /// Wake events posted (arm calls that changed a slot).
     posted: u64,
-    /// Stale heap entries discarded (arms superseded before firing).
+    /// Armed wakes replaced or disarmed before they fired.
     cancelled: u64,
-    /// Peak heap depth observed.
+    /// Peak queue depth observed.
     depth_max: u64,
-    /// Heap depth sampled at every post, for the p50 estimate.
+    /// Queue depth sampled at every post, for the p50 estimate.
     depth_hist: [u64; DEPTH_BUCKETS],
 }
 
@@ -61,7 +55,7 @@ impl EventQueue {
     pub fn new(components: usize) -> Self {
         EventQueue {
             armed: vec![DISARMED; components],
-            heap: BinaryHeap::with_capacity(components * 2),
+            depth: 0,
             posted: 0,
             cancelled: 0,
             depth_max: 0,
@@ -69,11 +63,12 @@ impl EventQueue {
         }
     }
 
-    /// Disarms every slot and clears the heap (telemetry is kept).
-    /// Used when the engine re-derives all wakes from component state.
+    /// Disarms every slot (telemetry is kept, and nothing is counted as
+    /// cancelled). Used when the engine re-derives all wakes from
+    /// component state.
     pub fn reset(&mut self) {
         self.armed.fill(DISARMED);
-        self.heap.clear();
+        self.depth = 0;
     }
 
     /// Sets component `comp`'s wake to exactly `cycle`, replacing any
@@ -81,11 +76,9 @@ impl EventQueue {
     /// full state (a `next_event` hint), which supersedes older arms.
     #[inline]
     pub fn arm_at(&mut self, comp: usize, cycle: u64) {
-        if self.armed[comp] == cycle {
-            return; // the existing heap entry is still valid
+        if self.armed[comp] != cycle {
+            self.set(comp, cycle);
         }
-        self.armed[comp] = cycle;
-        self.push(comp, cycle);
     }
 
     /// Moves component `comp`'s wake earlier to `cycle` if it is not
@@ -95,49 +88,69 @@ impl EventQueue {
     #[inline]
     pub fn arm_min(&mut self, comp: usize, cycle: u64) {
         if cycle < self.armed[comp] {
-            self.armed[comp] = cycle;
-            self.push(comp, cycle);
+            self.set(comp, cycle);
         }
     }
 
-    /// Clears component `comp`'s wake. The engine calls this when it
-    /// consumes a due wake (re-arming afterwards from fresh state) and
-    /// when a component goes idle.
+    /// Clears component `comp`'s wake without firing it (a component
+    /// gone idle, or paused by a rollover).
     #[inline]
     pub fn disarm(&mut self, comp: usize) {
-        self.armed[comp] = DISARMED;
+        if self.armed[comp] != DISARMED {
+            self.set(comp, DISARMED);
+        }
     }
 
-    /// Whether component `comp` is due at (or overdue by) `now`.
+    /// Fires component `comp`'s wake if it is due at (or overdue by)
+    /// `now`: clears the slot and returns true. The engine calls this
+    /// when it consumes a wake, then re-arms from fresh state.
     #[inline]
-    pub fn is_due(&self, comp: usize, now: u64) -> bool {
-        self.armed[comp] <= now
+    pub fn take_due(&mut self, comp: usize, now: u64) -> bool {
+        let due = self.armed[comp] <= now;
+        if due {
+            self.armed[comp] = DISARMED;
+            self.depth -= 1;
+        }
+        due
     }
 
-    /// The earliest armed wake cycle across all components, discarding
-    /// stale heap entries along the way. `None` means every component
-    /// is disarmed (the machine is quiescent).
-    pub fn next_wake(&mut self) -> Option<u64> {
-        while let Some(&Reverse((cycle, comp))) = self.heap.peek() {
-            if self.armed[comp as usize] == cycle {
-                return Some(cycle);
+    /// The earliest armed wake cycle across all components. `None`
+    /// means every component is disarmed (the machine is quiescent).
+    pub fn next_wake(&self) -> Option<u64> {
+        // Four independent running minima: the scan runs once per
+        // executed cycle, and one serial chain of compares would be its
+        // critical path.
+        let mut lanes = [DISARMED; 4];
+        let chunks = self.armed.chunks_exact(4);
+        for &c in chunks.remainder() {
+            lanes[0] = lanes[0].min(c);
+        }
+        for chunk in chunks {
+            for (lane, &c) in lanes.iter_mut().zip(chunk) {
+                *lane = (*lane).min(c);
             }
-            self.heap.pop();
+        }
+        let min = lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]));
+        (min != DISARMED).then_some(min)
+    }
+
+    /// Overwrites slot `comp` (which differs from `cycle`), keeping the
+    /// telemetry: replacing an armed wake cancels it, and arming posts.
+    #[inline]
+    fn set(&mut self, comp: usize, cycle: u64) {
+        if self.armed[comp] == DISARMED {
+            self.depth += 1;
+        } else {
             self.cancelled += 1;
         }
-        None
-    }
-
-    #[inline]
-    fn push(&mut self, comp: usize, cycle: u64) {
+        self.armed[comp] = cycle;
         if cycle == DISARMED {
+            self.depth -= 1;
             return;
         }
-        self.heap.push(Reverse((cycle, comp as u32)));
         self.posted += 1;
-        let depth = self.heap.len() as u64;
-        self.depth_max = self.depth_max.max(depth);
-        self.depth_hist[(depth as usize).min(DEPTH_BUCKETS - 1)] += 1;
+        self.depth_max = self.depth_max.max(self.depth);
+        self.depth_hist[(self.depth as usize).min(DEPTH_BUCKETS - 1)] += 1;
     }
 
     /// Wake events posted so far.
@@ -145,17 +158,17 @@ impl EventQueue {
         self.posted
     }
 
-    /// Stale (superseded) heap entries discarded so far.
+    /// Armed wakes replaced or disarmed before they fired.
     pub fn cancelled(&self) -> u64 {
         self.cancelled
     }
 
-    /// Peak heap depth observed.
+    /// Peak queue depth (armed slots) observed.
     pub fn depth_max(&self) -> u64 {
         self.depth_max
     }
 
-    /// Median heap depth over all posts (clamped to the histogram
+    /// Median queue depth over all posts (clamped to the histogram
     /// range; 0 if nothing was posted).
     pub fn depth_p50(&self) -> u64 {
         let total: u64 = self.depth_hist.iter().sum();
@@ -171,11 +184,6 @@ impl EventQueue {
         }
         (DEPTH_BUCKETS - 1) as u64
     }
-
-    /// Current heap size (valid + stale entries); diagnostics only.
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]
@@ -189,21 +197,24 @@ mod tests {
         q.arm_at(0, 10);
         q.arm_at(1, 20);
         assert_eq!(q.next_wake(), Some(10));
-        assert!(q.is_due(0, 10));
-        assert!(!q.is_due(1, 10));
-        q.disarm(0);
+        assert!(q.take_due(0, 10));
+        assert!(!q.take_due(1, 10));
         assert_eq!(q.next_wake(), Some(20));
     }
 
     #[test]
-    fn rearm_supersedes_and_counts_cancellation() {
+    fn only_superseded_arms_count_as_cancelled() {
         let mut q = EventQueue::new(2);
         q.arm_at(0, 50);
-        q.arm_at(0, 10); // earlier: new entry wins immediately
+        q.arm_at(0, 10); // earlier: the 50 arm is superseded
         assert_eq!(q.next_wake(), Some(10));
-        q.arm_at(0, 70); // later: the 10 and 50 entries are now stale
+        q.arm_at(0, 70); // later: the 10 arm is superseded too
         assert_eq!(q.next_wake(), Some(70));
         assert_eq!(q.cancelled(), 2);
+        assert!(q.take_due(0, 70)); // fired, not cancelled
+        q.arm_at(1, 5);
+        q.disarm(1); // disarmed before firing
+        assert_eq!((q.posted(), q.cancelled()), (4, 3));
     }
 
     #[test]
@@ -223,7 +234,7 @@ mod tests {
         q.arm_at(1, 5);
         q.disarm(1);
         assert_eq!(q.next_wake(), None);
-        // The stale entry was discarded while scanning.
+        q.disarm(1); // already disarmed: nothing to cancel
         assert_eq!(q.cancelled(), 1);
     }
 
@@ -237,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn depth_telemetry_tracks_posts() {
+    fn depth_counts_armed_slots() {
         let mut q = EventQueue::new(8);
         for c in 0..8 {
             q.arm_at(c, 100 + c as u64);
@@ -245,5 +256,13 @@ mod tests {
         assert_eq!(q.depth_max(), 8);
         assert!(q.depth_p50() >= 1);
         assert_eq!(q.posted(), 8);
+        for c in 0..8 {
+            q.arm_at(c, 200 + c as u64); // re-arms do not deepen
+        }
+        assert_eq!(q.depth_max(), 8);
+        q.reset();
+        q.arm_at(3, 1);
+        assert!(q.take_due(3, 1));
+        assert_eq!(q.next_wake(), None);
     }
 }

@@ -80,7 +80,10 @@ struct Recorder {
     scoreboard: Option<Scoreboard>,
     sanitizer: Option<Sanitizer>,
     pending_vals: PendingVals,
-    load_log: LoadLog,
+    /// Every value each `(core, warp, word)` loaded, for
+    /// [`System::loads_of`]; `None` once the owner has declared it will
+    /// never ask ([`System::discard_load_log`]).
+    load_log: Option<LoadLog>,
     epoch_base: u64,
     max_ts_seen: u64,
     completions: u64,
@@ -148,10 +151,11 @@ impl Recorder {
         };
         let store_value = match c.kind {
             CompletionKind::LoadDone { value } => {
-                self.load_log
-                    .entry((core, c.warp.index(), c.addr))
-                    .or_default()
-                    .push(value);
+                if let Some(log) = &mut self.load_log {
+                    log.entry((core, c.warp.index(), c.addr))
+                        .or_default()
+                        .push(value);
+                }
                 None
             }
             CompletionKind::StoreDone => match pop() {
@@ -221,16 +225,16 @@ pub struct System<P: Protocol> {
     /// updated with before/after deltas at every controller call site so
     /// the per-cycle drain checks are O(1).
     mem_pending: usize,
-    /// Whether `run` uses the event-driven engine (calendar queue with
-    /// exact wake events) instead of stepping every cycle.
+    /// Whether `run` uses the event-driven engine (wake table of exact
+    /// wake events) instead of stepping every cycle.
     ff_enabled: bool,
     /// Cycles skipped by the event-driven engine (simulated results are
     /// unaffected; this only measures how much stepping was avoided).
     skipped_cycles: u64,
     /// Number of scheduler jumps that skipped at least one cycle.
     ff_jumps: u64,
-    /// Calendar queue of exact per-component wake cycles (the
-    /// event-driven engine's core; see [`crate::sched`]).
+    /// Table of exact per-component wake cycles (the event-driven
+    /// engine's core; see [`crate::sched`]).
     sched: EventQueue,
     /// True while `run_until` is driving the event-driven engine. Gates
     /// queue arming and lazy core replay inside helpers shared with the
@@ -258,9 +262,12 @@ pub struct System<P: Protocol> {
     /// min-scan bound| and sample count (sampled every 64th jump).
     wake_slack_sum: u64,
     wake_slack_samples: u64,
-    /// Reusable outbox buffers (capacity persists across cycles).
+    /// Reusable outbox and delivery buffers (capacity persists across
+    /// cycles).
     scratch_l1: L1Outbox,
     scratch_l2: L2Outbox,
+    scratch_resp: Vec<(usize, RespMsg)>,
+    scratch_req: Vec<(usize, ReqMsg)>,
     /// Chaos hook for the L2 delay pipes (the pipes live in the system,
     /// not in a component crate, so the system samples for them).
     chaos_pipe: Option<Perturber>,
@@ -333,7 +340,7 @@ impl<P: Protocol> System<P> {
                 scoreboard: check_sc.then(Scoreboard::new),
                 sanitizer: None,
                 pending_vals: FxHashMap::default(),
-                load_log: FxHashMap::default(),
+                load_log: Some(FxHashMap::default()),
                 epoch_base: 0,
                 max_ts_seen: 0,
                 completions: 0,
@@ -362,6 +369,8 @@ impl<P: Protocol> System<P> {
             wake_slack_samples: 0,
             scratch_l1: L1Outbox::new(),
             scratch_l2: L2Outbox::new(),
+            scratch_resp: Vec::new(),
+            scratch_req: Vec::new(),
             chaos_pipe: None,
             chaos_access: None,
             chaos_fired: Arc::new(AtomicU64::new(0)),
@@ -587,12 +596,22 @@ impl<P: Protocol> System<P> {
     }
 
     /// All values each `(core, warp)` loaded from `addr`, in program
-    /// order — used by the litmus harness.
+    /// order — used by the litmus harness. Empty after
+    /// [`System::discard_load_log`].
     pub fn loads_of(&self, core: usize, warp: usize, addr: WordAddr) -> &[u64] {
         self.recorder
             .load_log
-            .get(&(core, warp, addr))
+            .as_ref()
+            .and_then(|log| log.get(&(core, warp, addr)))
             .map_or(&[], Vec::as_slice)
+    }
+
+    /// Stops logging loaded values (and frees the log): for owners that
+    /// never call [`System::loads_of`], such as the run entry points in
+    /// [`crate::runner`]. The log is observation only, so simulated
+    /// results are unaffected.
+    pub(crate) fn discard_load_log(&mut self) {
+        self.recorder.load_log = None;
     }
 
     fn bill_req(traffic: &mut TrafficStats, cfg: &GpuConfig, msg: &ReqMsg) -> u64 {
@@ -797,9 +816,9 @@ impl<P: Protocol> System<P> {
     }
 
     // ------------------------------------------------------------------
-    // Event-driven engine: calendar-queue component slots.
+    // Event-driven engine: wake-table component slots.
     //
-    // Fixed id layout (also the tie-break order inside the queue):
+    // Fixed id layout:
     // cores | L1s | req net | resp net | L2 banks | bank inboxes |
     // L2 delay pipes | DRAM channels | rollover coordinator. Execution
     // order within a scheduled cycle is the fixed phase order of
@@ -905,9 +924,9 @@ impl<P: Protocol> System<P> {
         }
     }
 
-    /// Re-arms DRAM channel `p`. Its hint is `Cycle(0)` ("poll me every
-    /// cycle") while commands are queued, so the clamp makes that the
-    /// next serviceable cycle.
+    /// Re-arms DRAM channel `p` from its exact issue/completion horizon
+    /// (a queued row hit reports `Cycle(0)`, "now", which the clamp makes
+    /// the next serviceable cycle).
     fn arm_dram_from_state(&mut self, p: usize, floor: u64) {
         let comp = self.comp_dram(p);
         match self.drams[p].next_event() {
@@ -1054,9 +1073,10 @@ impl<P: Protocol> System<P> {
         }
 
         // 1. Response network → L1s.
-        let delivered = self.resp_net.deliver(cycle);
+        let mut delivered = std::mem::take(&mut self.scratch_resp);
+        self.resp_net.deliver_into(cycle, &mut delivered);
         self.mem_pending -= delivered.len();
-        for (dst, resp) in delivered {
+        for (dst, resp) in delivered.drain(..) {
             let mut out = std::mem::take(&mut self.scratch_l1);
             let before = self.l1s[dst].pending();
             self.l1s[dst].handle_resp(cycle, resp, &mut out);
@@ -1065,13 +1085,15 @@ impl<P: Protocol> System<P> {
             self.process_l1_out(dst, &mut out, cycle.raw());
             self.scratch_l1 = out;
         }
+        self.scratch_resp = delivered;
         self.charge(&mut mark, SimPhase::L1);
 
         // 2. Request network → bank inboxes (flush acks are intercepted
         //    by the rollover coordinator).
-        let delivered = self.req_net.deliver(cycle);
+        let mut delivered = std::mem::take(&mut self.scratch_req);
+        self.req_net.deliver_into(cycle, &mut delivered);
         self.mem_pending -= delivered.len();
-        for (dst, req) in delivered {
+        for (dst, req) in delivered.drain(..) {
             if matches!(req.payload, ReqPayload::FlushAck) {
                 if let RolloverState::Flushing { acks_outstanding } = &mut self.rollover {
                     *acks_outstanding -= 1;
@@ -1081,6 +1103,7 @@ impl<P: Protocol> System<P> {
             self.l2_inbox[dst].push_back(req);
             self.mem_pending += 1;
         }
+        self.scratch_req = delivered;
         self.charge(&mut mark, SimPhase::Noc);
 
         // 3. L2 banks: tick, then serve one request per cycle.
@@ -1617,11 +1640,11 @@ impl<P: Protocol> System<P> {
         }
 
         // 1. Response network → L1s.
-        if self.sched.is_due(self.comp_resp(), n) {
-            self.sched.disarm(self.comp_resp());
-            let delivered = self.resp_net.deliver(cycle);
+        if self.sched.take_due(self.comp_resp(), n) {
+            let mut delivered = std::mem::take(&mut self.scratch_resp);
+            self.resp_net.deliver_into(cycle, &mut delivered);
             self.mem_pending -= delivered.len();
-            for (dst, resp) in delivered {
+            for (dst, resp) in delivered.drain(..) {
                 let mut out = std::mem::take(&mut self.scratch_l1);
                 let before = self.l1s[dst].pending();
                 self.l1s[dst].handle_resp(cycle, resp, &mut out);
@@ -1647,17 +1670,18 @@ impl<P: Protocol> System<P> {
                     self.sched.arm_min(self.comp_l1(dst), c.raw().max(n));
                 }
             }
+            self.scratch_resp = delivered;
             self.arm_resp_from_state();
         }
         self.charge(&mut mark, SimPhase::L1);
 
         // 2. Request network → bank inboxes (flush acks are intercepted
         //    by the rollover coordinator).
-        if self.sched.is_due(self.comp_req(), n) {
-            self.sched.disarm(self.comp_req());
-            let delivered = self.req_net.deliver(cycle);
+        if self.sched.take_due(self.comp_req(), n) {
+            let mut delivered = std::mem::take(&mut self.scratch_req);
+            self.req_net.deliver_into(cycle, &mut delivered);
             self.mem_pending -= delivered.len();
-            for (dst, req) in delivered {
+            for (dst, req) in delivered.drain(..) {
                 if matches!(req.payload, ReqPayload::FlushAck) {
                     if let RolloverState::Flushing { acks_outstanding } = &mut self.rollover {
                         *acks_outstanding -= 1;
@@ -1668,20 +1692,20 @@ impl<P: Protocol> System<P> {
                 self.mem_pending += 1;
                 self.sched.arm_min(self.comp_inbox(dst), n);
             }
+            self.scratch_req = delivered;
             self.arm_req_from_state();
         }
         self.charge(&mut mark, SimPhase::Noc);
 
         // 3. L2 banks: tick, then serve one request per cycle.
         for p in 0..self.l2s.len() {
-            let bank_due = self.sched.is_due(self.comp_bank(p), n);
-            let inbox_due = self.sched.is_due(self.comp_inbox(p), n);
+            let bank_due = self.sched.take_due(self.comp_bank(p), n);
+            let inbox_due = self.sched.take_due(self.comp_inbox(p), n);
             if !bank_due && !inbox_due {
                 continue;
             }
             let mut out = std::mem::take(&mut self.scratch_l2);
             if bank_due {
-                self.sched.disarm(self.comp_bank(p));
                 let before = self.l2s[p].pending();
                 self.l2s[p].tick(cycle, &mut out);
                 self.mem_pending += self.l2s[p].pending();
@@ -1691,7 +1715,6 @@ impl<P: Protocol> System<P> {
                 }
             }
             if inbox_due {
-                self.sched.disarm(self.comp_inbox(p));
                 if let Some(req) = self.l2_inbox[p].pop_front() {
                     self.mem_pending -= 1;
                     let before = self.l2s[p].pending();
@@ -1720,10 +1743,9 @@ impl<P: Protocol> System<P> {
         // 4. L2 delay pipes → response network.
         let mut resp_injected = false;
         for p in 0..self.l2_delay.len() {
-            if !self.sched.is_due(self.comp_pipe(p), n) {
+            if !self.sched.take_due(self.comp_pipe(p), n) {
                 continue;
             }
-            self.sched.disarm(self.comp_pipe(p));
             while let Some((ready, _)) = self.l2_delay[p].front() {
                 if *ready > n {
                     break;
@@ -1745,10 +1767,9 @@ impl<P: Protocol> System<P> {
 
         // 5. DRAM.
         for p in 0..self.drams.len() {
-            if !self.sched.is_due(self.comp_dram(p), n) {
+            if !self.sched.take_due(self.comp_dram(p), n) {
                 continue;
             }
-            self.sched.disarm(self.comp_dram(p));
             let before = self.drams[p].pending();
             let lines = self.drams[p].tick(cycle);
             self.mem_pending += self.drams[p].pending();
@@ -1775,7 +1796,7 @@ impl<P: Protocol> System<P> {
         //    are enabled by same-cycle events from the phases above, and
         //    the coordinator's own queue slot covers the one case where
         //    a transition is due with nothing else armed).
-        self.sched.disarm(self.comp_rollover());
+        self.sched.take_due(self.comp_rollover(), n);
         self.advance_rollover();
         self.arm_rollover_from_state(n + 1);
         self.charge(&mut mark, SimPhase::Rollover);
@@ -1783,97 +1804,90 @@ impl<P: Protocol> System<P> {
         // 7. Cores + L1 ticks (paused while a rollover is in progress).
         let issuing = self.rollover == RolloverState::Idle;
         for i in 0..self.cores.len() {
-            let l1_due = self.sched.is_due(self.comp_l1(i), n);
-            let core_due = self.sched.is_due(self.comp_core(i), n);
+            let l1_due = self.sched.take_due(self.comp_l1(i), n);
+            let core_due = self.sched.take_due(self.comp_core(i), n);
             if !l1_due && !core_due {
                 continue;
             }
             let mut out = std::mem::take(&mut self.scratch_l1);
             let before = self.l1s[i].pending();
             if l1_due {
-                self.sched.disarm(self.comp_l1(i));
                 self.l1s[i].tick(cycle, &mut out);
             }
             let mut ticked = false;
-            if core_due {
-                self.sched.disarm(self.comp_core(i));
-                if issuing && !self.cores[i].done() {
-                    // Replay the stall bookkeeping of the skipped gap,
-                    // then run the real tick for this cycle.
-                    self.sync_core_through(i, n.saturating_sub(1));
-                    let l1 = &mut self.l1s[i];
-                    let recorder = &mut self.recorder;
-                    let chaos = &mut self.chaos_access;
-                    let mut issued_any = false;
-                    let mut reject_delta: Option<L1Stats> = None;
-                    let core_out = self.cores[i].tick(cycle, |access| {
-                        if let Some(c) = chaos.as_mut() {
-                            if c.fires(Site::L1Access) {
-                                // Bounce before the access reaches the L1
-                                // (or the recorder): the warp retries next
-                                // cycle, modelling a variable L1 service
-                                // latency.
-                                return AccessOutcome::Reject(RejectReason::ChaosStall);
-                            }
-                        }
-                        recorder.note_issue(i, access);
-                        let stats_before = l1.stats().clone();
-                        let outcome = l1.access(cycle, access, &mut out);
-                        match &outcome {
-                            AccessOutcome::Done(c) => {
-                                recorder.note_completion(i, c);
-                                issued_any = true;
-                            }
-                            AccessOutcome::Pending => issued_any = true,
-                            AccessOutcome::Reject(_) => {
-                                // The access never started; forget what
-                                // the recorder registered for it.
-                                recorder.note_reject(i, access);
-                                reject_delta = Some(l1.stats().delta_since(&stats_before));
-                            }
-                        }
-                        outcome
-                    });
-                    // A structural reject with chaos disarmed is a fixed
-                    // point (see `Core::stall_horizon`): the retry can be
-                    // slept through and replayed — unless a completion
-                    // delivered below already changed warp state. Spin
-                    // engages on the second consecutive retry with an
-                    // identical stat delta (the first may carry one-time
-                    // side effects like TC's expiry self-invalidation).
-                    self.spin_state[i] = match reject_delta {
-                        Some(delta)
-                            if self.chaos_access.is_none() && out.completions.is_empty() =>
-                        {
-                            if self.spin_state[i] != SpinState::Idle && self.spin_delta[i] == delta
-                            {
-                                SpinState::Active
-                            } else {
-                                self.spin_delta[i] = delta;
-                                SpinState::Candidate
-                            }
-                        }
-                        _ => SpinState::Idle,
-                    };
-                    if issued_any {
-                        self.last_progress = n;
-                    }
-                    // Trace capture (see the stepped engine's tap): the
-                    // same ephemeral per-tick output feeds the recorder,
-                    // so both engines record identical traces.
-                    if let Some(tr) = &mut self.trace_rec {
-                        if let Some((w, pc)) = core_out.issued_op {
-                            tr.note_issue(i, w, pc, n);
+            if core_due && issuing && !self.cores[i].done() {
+                // Replay the stall bookkeeping of the skipped gap,
+                // then run the real tick for this cycle.
+                self.sync_core_through(i, n.saturating_sub(1));
+                let l1 = &mut self.l1s[i];
+                let recorder = &mut self.recorder;
+                let chaos = &mut self.chaos_access;
+                let mut issued_any = false;
+                let mut reject_delta: Option<L1Stats> = None;
+                let core_out = self.cores[i].tick(cycle, |access| {
+                    if let Some(c) = chaos.as_mut() {
+                        if c.fires(Site::L1Access) {
+                            // Bounce before the access reaches the L1
+                            // (or the recorder): the warp retries next
+                            // cycle, modelling a variable L1 service
+                            // latency.
+                            return AccessOutcome::Reject(RejectReason::ChaosStall);
                         }
                     }
-                    for _warp in core_out.fences_retired {
-                        // RCC-WO: joining the views is a core-level action.
-                        self.l1s[i].fence();
-                        self.last_progress = n;
+                    recorder.note_issue(i, access);
+                    let stats_before = l1.stats().clone();
+                    let outcome = l1.access(cycle, access, &mut out);
+                    match &outcome {
+                        AccessOutcome::Done(c) => {
+                            recorder.note_completion(i, c);
+                            issued_any = true;
+                        }
+                        AccessOutcome::Pending => issued_any = true,
+                        AccessOutcome::Reject(_) => {
+                            // The access never started; forget what
+                            // the recorder registered for it.
+                            recorder.note_reject(i, access);
+                            reject_delta = Some(l1.stats().delta_since(&stats_before));
+                        }
                     }
-                    self.synced_to[i] = n;
-                    ticked = true;
+                    outcome
+                });
+                // A structural reject with chaos disarmed is a fixed
+                // point (see `Core::stall_horizon`): the retry can be
+                // slept through and replayed — unless a completion
+                // delivered below already changed warp state. Spin
+                // engages on the second consecutive retry with an
+                // identical stat delta (the first may carry one-time
+                // side effects like TC's expiry self-invalidation).
+                self.spin_state[i] = match reject_delta {
+                    Some(delta) if self.chaos_access.is_none() && out.completions.is_empty() => {
+                        if self.spin_state[i] != SpinState::Idle && self.spin_delta[i] == delta {
+                            SpinState::Active
+                        } else {
+                            self.spin_delta[i] = delta;
+                            SpinState::Candidate
+                        }
+                    }
+                    _ => SpinState::Idle,
+                };
+                if issued_any {
+                    self.last_progress = n;
                 }
+                // Trace capture (see the stepped engine's tap): the
+                // same ephemeral per-tick output feeds the recorder,
+                // so both engines record identical traces.
+                if let Some(tr) = &mut self.trace_rec {
+                    if let Some((w, pc)) = core_out.issued_op {
+                        tr.note_issue(i, w, pc, n);
+                    }
+                }
+                for _warp in core_out.fences_retired {
+                    // RCC-WO: joining the views is a core-level action.
+                    self.l1s[i].fence();
+                    self.last_progress = n;
+                }
+                self.synced_to[i] = n;
+                ticked = true;
             }
             self.mem_pending += self.l1s[i].pending();
             self.mem_pending -= before;

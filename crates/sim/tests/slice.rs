@@ -78,3 +78,26 @@ fn corrupted_snapshot_is_a_typed_checkpoint_error() {
         other => panic!("corrupted snapshot must fail typed, got {other:?}"),
     }
 }
+
+#[test]
+fn profiled_slices_return_a_self_profile() {
+    let cfg = GpuConfig::small();
+    let wl = Benchmark::Dlb.generate(&cfg, &Scale::quick(), SEED);
+    for quantum in [0, 4_000] {
+        let opts = SimOptions {
+            quantum,
+            profile: true,
+            ..SimOptions::fast()
+        };
+        let mut out = try_simulate_slice(ProtocolKind::RccSc, &cfg, &wl, &opts).expect("slice");
+        let m = loop {
+            match out {
+                SliceOutcome::Finished(m) => break m,
+                SliceOutcome::Preempted { ck, .. } => out = resume_slice(&ck).expect("resume"),
+            }
+        };
+        assert!(m.profile.is_some(), "quantum {quantum}: profile requested");
+        let (plain, _) = sliced_metrics(quantum);
+        assert_eq!(m.digest(SEED), plain.digest(SEED), "profiling is passive");
+    }
+}
