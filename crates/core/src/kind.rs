@@ -98,6 +98,59 @@ impl fmt::Display for ProtocolKind {
     }
 }
 
+/// Builds the protocol a [`ProtocolKind`] names for the machine `cfg`
+/// (a `&GpuConfig`) and evaluates `body` with `p` bound to a reference
+/// to it. This is the workspace's one kind-to-protocol dispatch point.
+/// It is a macro because `body` is usually a call to a function generic
+/// over [`Protocol`](crate::protocol::Protocol), and a closure cannot be
+/// generic over its argument type.
+///
+/// ```
+/// use rcc_common::GpuConfig;
+/// use rcc_core::{protocol::Protocol, with_protocol, ProtocolKind};
+///
+/// let cfg = GpuConfig::small();
+/// for kind in ProtocolKind::ALL {
+///     assert_eq!(with_protocol!(kind, &cfg, |p| p.kind()), kind);
+/// }
+/// ```
+#[macro_export]
+macro_rules! with_protocol {
+    ($kind:expr, $cfg:expr, |$p:ident| $body:expr) => {{
+        let cfg = $cfg;
+        match $kind {
+            $crate::ProtocolKind::Mesi => {
+                let $p = &$crate::mesi::MesiProtocol::new(cfg);
+                $body
+            }
+            $crate::ProtocolKind::MesiWb => {
+                let $p = &$crate::mesi::MesiWbProtocol::new(cfg);
+                $body
+            }
+            $crate::ProtocolKind::TcStrong => {
+                let $p = &$crate::tc::TcProtocol::strong(cfg);
+                $body
+            }
+            $crate::ProtocolKind::TcWeak => {
+                let $p = &$crate::tc::TcProtocol::weak(cfg);
+                $body
+            }
+            $crate::ProtocolKind::RccSc => {
+                let $p = &$crate::rcc::RccProtocol::sequential(cfg);
+                $body
+            }
+            $crate::ProtocolKind::RccWo => {
+                let $p = &$crate::rcc::RccProtocol::weakly_ordered(cfg);
+                $body
+            }
+            $crate::ProtocolKind::IdealSc => {
+                let $p = &$crate::ideal::IdealProtocol::new(cfg);
+                $body
+            }
+        }
+    }};
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

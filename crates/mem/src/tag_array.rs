@@ -137,12 +137,14 @@ impl<S> TagArray<S> {
         self.slots[i].as_mut()
     }
 
-    /// Looks up a line and marks it most-recently-used.
+    /// Looks up a line and marks it most-recently-used. A miss touches
+    /// no line, so it leaves the recency counter alone: a retried miss
+    /// (a rejected access spinning on a full MSHR) must not advance it.
     pub fn access(&mut self, addr: LineAddr) -> Option<&mut Line<S>> {
+        let i = self.slot_of(addr)?;
         self.tick += 1;
-        let tick = self.tick;
-        let line = self.probe_mut(addr)?;
-        line.last_use = tick;
+        let line = self.slots[i].as_mut()?;
+        line.last_use = self.tick;
         Some(line)
     }
 
@@ -381,6 +383,11 @@ mod tests {
         assert!(text.starts_with("TagArray { sets: 2, ways: 2, stride: 1, slots: [Some(Line {"));
         assert!(text.ends_with("None, None], tick: 1 }"), "{text}");
         assert!(!text.contains("tags"));
+        // A miss leaves `tick` unchanged; a hit advances it.
+        assert!(a.access(LineAddr(0)).is_none());
+        assert!(format!("{a:?}").ends_with("tick: 1 }"));
+        assert!(a.access(LineAddr(2)).is_some());
+        assert!(format!("{a:?}").ends_with("tick: 2 }"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Self-profiling: wall-clock attribution of the simulator's own phases.
 //!
-//! When profiling is armed, `System::step` timestamps each phase of the
+//! When profiling is armed, `System::step_cycle` timestamps each phase of the
 //! cycle loop and charges the elapsed wall-clock to a [`SimPhase`]
 //! bucket. The result answers "where does sim time go" — cores vs caches
 //! vs NoC vs DRAM vs engine bookkeeping — so a perf PR can see what it
@@ -76,7 +76,7 @@ impl SimPhase {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimProfile {
     nanos: [u64; 8],
-    /// Number of `step()` calls profiled.
+    /// Number of executed cycles (`step_cycle` calls) profiled.
     pub steps: u64,
 }
 

@@ -447,11 +447,8 @@ fn run_quantum(inner: &Inner, task: &Task) -> QuantumOutcome {
         }
         let (kind, cfg, wl, mut opts) = task.spec.inputs();
         if task.spec.record_trace {
-            // A resumed run does not re-record, so trace jobs run as one
-            // uninterrupted quantum through the plain driver path.
+            // A recording run is never preempted: it finishes in one slice.
             opts.record_trace = inner.store.trace_path(task.id as u64);
-            return rcc_sim::try_simulate(kind, &cfg, &wl, &opts)
-                .map(|m| SliceOutcome::Finished(Box::new(m)));
         }
         opts.quantum = inner.quantum;
         rcc_sim::try_simulate_slice(kind, &cfg, &wl, &opts)

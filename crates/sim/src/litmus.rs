@@ -15,10 +15,6 @@ use crate::error::SimError;
 use crate::system::System;
 use rcc_chaos::ChaosSpec;
 use rcc_common::config::GpuConfig;
-use rcc_core::ideal::IdealProtocol;
-use rcc_core::mesi::{MesiProtocol, MesiWbProtocol};
-use rcc_core::rcc::RccProtocol;
-use rcc_core::tc::TcProtocol;
 use rcc_core::ProtocolKind;
 use rcc_obs::{ObsConfig, ObsReport};
 use rcc_workloads::litmus::Litmus;
@@ -167,15 +163,7 @@ pub fn run_litmus_observed(
     chaos: Option<&ChaosSpec>,
     obs: Option<&ObsConfig>,
 ) -> Result<(LitmusOutcome, Option<ObsReport>), SimError> {
-    match kind {
-        ProtocolKind::Mesi => run_one(&MesiProtocol::new(cfg), cfg, litmus, chaos, obs),
-        ProtocolKind::MesiWb => run_one(&MesiWbProtocol::new(cfg), cfg, litmus, chaos, obs),
-        ProtocolKind::TcStrong => run_one(&TcProtocol::strong(cfg), cfg, litmus, chaos, obs),
-        ProtocolKind::TcWeak => run_one(&TcProtocol::weak(cfg), cfg, litmus, chaos, obs),
-        ProtocolKind::RccSc => run_one(&RccProtocol::sequential(cfg), cfg, litmus, chaos, obs),
-        ProtocolKind::RccWo => run_one(&RccProtocol::weakly_ordered(cfg), cfg, litmus, chaos, obs),
-        ProtocolKind::IdealSc => run_one(&IdealProtocol::new(cfg), cfg, litmus, chaos, obs),
-    }
+    rcc_core::with_protocol!(kind, cfg, |p| run_one(p, cfg, litmus, chaos, obs))
 }
 
 /// Runs `make_litmus(seed)` for every seed in `0..runs`, counting how

@@ -5,11 +5,7 @@ use crate::error::SimError;
 use crate::metrics::RunMetrics;
 use crate::system::System;
 use rcc_common::config::GpuConfig;
-use rcc_core::ideal::IdealProtocol;
-use rcc_core::mesi::{MesiProtocol, MesiWbProtocol};
 use rcc_core::protocol::Protocol;
-use rcc_core::rcc::RccProtocol;
-use rcc_core::tc::TcProtocol;
 use rcc_core::ProtocolKind;
 use rcc_workloads::Workload;
 
@@ -67,7 +63,8 @@ pub struct SimOptions {
     /// Recording is passive: simulated results are bit-identical with it
     /// on or off, and — like [`SimOptions::checkpoint`] — the path is
     /// host-local state that checkpoints do not carry (a resumed run
-    /// does not re-record).
+    /// does not re-record, so a recording run ignores
+    /// [`SimOptions::quantum`] and finishes in one slice).
     pub record_trace: Option<String>,
     /// Cooperative-preemption quantum in cycles for the slice entry
     /// points ([`try_simulate_slice`] / [`resume_slice`]): a slice runs
@@ -133,36 +130,6 @@ struct ReplayTo {
     state_digest: u64,
 }
 
-/// Builds the system for a run and arms everything `opts` asks for that
-/// both run paths share: fast-forward, chaos, sanitizer, observer and
-/// self-profiling.
-fn configured_system<P: Protocol>(
-    protocol: &P,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-) -> System<P> {
-    let check = opts.check_sc && protocol.kind().supports_sc();
-    let mut system = System::new(protocol, cfg, workload, check);
-    system.discard_load_log();
-    system.set_fast_forward(opts.fast_forward);
-    if let Some(spec) = &opts.chaos {
-        system.set_chaos(spec);
-    }
-    if opts.sanitize {
-        system.enable_sanitizer();
-    }
-    if opts.sample_every > 0 || opts.trace {
-        system.set_observer(rcc_obs::ObsConfig {
-            sample_every: opts.sample_every,
-            trace: opts.trace,
-            max_trace_events: 1_000_000,
-        });
-    }
-    system.set_profiling(opts.profile);
-    system
-}
-
 /// Resume: replays to the checkpointed cycle, then proves the rebuilt
 /// machine is the checkpointed machine before running on. A mismatch
 /// means the binary, config, or workload no longer reproduces the
@@ -181,16 +148,41 @@ fn replay_to<P: Protocol>(system: &mut System<P>, target: ReplayTo) -> Result<()
     Ok(())
 }
 
-fn run_system<P: Protocol>(
+/// The one function behind every run entry point. It replays to `replay`
+/// first when resuming, writes periodic checkpoints when `opts` asks for
+/// them, and yields [`SliceOutcome::Preempted`] once `quantum` cycles
+/// (0 = never) have run past its starting point. A run that records a
+/// trace is never preempted: a resumed run does not re-record, so the
+/// recording has to cover the whole run in one slice.
+fn run<P: Protocol>(
     protocol: &P,
     cfg: &GpuConfig,
     workload: &Workload,
     opts: &SimOptions,
     replay: Option<ReplayTo>,
-) -> Result<RunMetrics, SimError> {
+    quantum: u64,
+) -> Result<SliceOutcome, SimError> {
     let kind = protocol.kind();
-    let mut system = configured_system(protocol, cfg, workload, opts);
-    if opts.record_trace.is_some() && replay.is_none() {
+    let check = opts.check_sc && kind.supports_sc();
+    let mut system = System::new(protocol, cfg, workload, check);
+    system.discard_load_log();
+    system.set_fast_forward(opts.fast_forward);
+    if let Some(spec) = &opts.chaos {
+        system.set_chaos(spec);
+    }
+    if opts.sanitize {
+        system.enable_sanitizer();
+    }
+    if opts.sample_every > 0 || opts.trace {
+        system.set_observer(rcc_obs::ObsConfig {
+            sample_every: opts.sample_every,
+            trace: opts.trace,
+            max_trace_events: 1_000_000,
+        });
+    }
+    system.set_profiling(opts.profile);
+    let recording = opts.record_trace.is_some() && replay.is_none();
+    if recording {
         system.set_trace_recorder(rcc_trace::TraceRecorder::new(workload));
     }
 
@@ -198,36 +190,52 @@ fn run_system<P: Protocol>(
         if let Some(target) = replay {
             replay_to(&mut system, target)?;
         }
-        if opts.checkpoint_every > 0 {
-            if let Some(path) = &opts.checkpoint {
-                let mut boundary = opts.checkpoint_every.max(system.cycle().raw() + 1);
-                while !system.done() && boundary < opts.max_cycles {
-                    system.run_until(boundary)?;
-                    if system.done() {
-                        break;
-                    }
-                    checkpoint_now(&system, kind, cfg, workload, opts).save(path)?;
-                    boundary += opts.checkpoint_every;
+        let yield_at = if quantum == 0 || recording {
+            u64::MAX
+        } else {
+            system.cycle().raw().saturating_add(quantum)
+        };
+        if let (true, Some(path)) = (opts.checkpoint_every > 0, &opts.checkpoint) {
+            let mut boundary = opts.checkpoint_every.max(system.cycle().raw() + 1);
+            while !system.done() && boundary < yield_at.min(opts.max_cycles) {
+                system.run_until(boundary)?;
+                if system.done() {
+                    break;
                 }
+                checkpoint_now(&system, kind, cfg, workload, opts).save(path)?;
+                boundary += opts.checkpoint_every;
             }
         }
-        system.run(opts.max_cycles)
+        if yield_at < opts.max_cycles {
+            system.run_until(yield_at)?;
+            if !system.done() {
+                let partial = system.metrics();
+                return Ok(SliceOutcome::Preempted {
+                    ck: Box::new(checkpoint_now(&system, kind, cfg, workload, opts)),
+                    progress: Box::new(SliceProgress {
+                        cycle: partial.cycles,
+                        issued: partial.core.issued,
+                        mem_ops: partial.core.mem_ops,
+                        obs: system.take_observation(),
+                    }),
+                });
+            }
+        }
+        let mut metrics = system.run(opts.max_cycles)?;
+        metrics.obs = system.take_observation();
+        if let (Some(path), Some(rec)) = (&opts.record_trace, system.take_trace_recorder()) {
+            let trace = rec.finish(&kind.to_string(), metrics.cycles);
+            trace
+                .save(path)
+                .map_err(|e| SimError::Trace(e.to_string()))?;
+            let manifest = format!("{path}.manifest.json");
+            std::fs::write(&manifest, trace.manifest_json())
+                .map_err(|e| SimError::Trace(format!("{manifest}: {e}")))?;
+        }
+        Ok(SliceOutcome::Finished(Box::new(metrics)))
     })();
 
     match outcome {
-        Ok(mut metrics) => {
-            metrics.obs = system.take_observation();
-            if let (Some(path), Some(rec)) = (&opts.record_trace, system.take_trace_recorder()) {
-                let trace = rec.finish(&kind.to_string(), metrics.cycles);
-                trace
-                    .save(path)
-                    .map_err(|e| SimError::Trace(e.to_string()))?;
-                let manifest = format!("{path}.manifest.json");
-                std::fs::write(&manifest, trace.manifest_json())
-                    .map_err(|e| SimError::Trace(format!("{manifest}: {e}")))?;
-            }
-            Ok(metrics)
-        }
         Err(SimError::Deadlock(mut dump)) => {
             // Watchdog fired: attach an auto-checkpoint of the hung
             // state so the hang can be replayed offline. Replaying it
@@ -243,7 +251,42 @@ fn run_system<P: Protocol>(
             }
             Err(SimError::Deadlock(dump))
         }
-        Err(e) => Err(e),
+        other => other,
+    }
+}
+
+/// Builds the protocol `kind` names, runs it through [`run`], and checks
+/// the requested verdicts (SC scoreboard, sanitizer) on a finished run.
+fn run_kind(
+    kind: ProtocolKind,
+    cfg: &GpuConfig,
+    workload: &Workload,
+    opts: &SimOptions,
+    replay: Option<ReplayTo>,
+    quantum: u64,
+) -> Result<SliceOutcome, SimError> {
+    let out =
+        rcc_core::with_protocol!(kind, cfg, |p| run(p, cfg, workload, opts, replay, quantum))?;
+    if let SliceOutcome::Finished(metrics) = &out {
+        verify_metrics(kind, workload.name, opts, metrics)?;
+    }
+    Ok(out)
+}
+
+/// [`run_kind`] with quantum 0: the run goes to completion.
+fn run_whole(
+    kind: ProtocolKind,
+    cfg: &GpuConfig,
+    workload: &Workload,
+    opts: &SimOptions,
+    replay: Option<ReplayTo>,
+) -> Result<RunMetrics, SimError> {
+    match run_kind(kind, cfg, workload, opts, replay, 0)? {
+        SliceOutcome::Finished(metrics) => Ok(*metrics),
+        SliceOutcome::Preempted { ck, .. } => Err(SimError::Checkpoint(format!(
+            "a run with quantum 0 yielded at cycle {}",
+            ck.cycle
+        ))),
     }
 }
 
@@ -300,70 +343,6 @@ pub enum SliceOutcome {
     },
 }
 
-fn run_slice<P: Protocol>(
-    protocol: &P,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-    replay: Option<ReplayTo>,
-) -> Result<SliceOutcome, SimError> {
-    let kind = protocol.kind();
-    let mut system = configured_system(protocol, cfg, workload, opts);
-    // Slice mode arms no trace recorder and writes no periodic disk
-    // snapshots: the checkpoint it yields lives in memory, owned by the
-    // caller (e.g. the rcc-serve job table). Trace-recording jobs run
-    // through `try_simulate` in a single slice instead.
-    if let Some(target) = replay {
-        replay_to(&mut system, target)?;
-    }
-    let boundary = system.cycle().raw().saturating_add(opts.quantum);
-    if opts.quantum > 0 && boundary < opts.max_cycles {
-        system.run_until(boundary)?;
-        if !system.done() {
-            let ck = checkpoint_now(&system, kind, cfg, workload, opts);
-            let partial = system.metrics();
-            return Ok(SliceOutcome::Preempted {
-                ck: Box::new(ck),
-                progress: Box::new(SliceProgress {
-                    cycle: partial.cycles,
-                    issued: partial.core.issued,
-                    mem_ops: partial.core.mem_ops,
-                    obs: system.take_observation(),
-                }),
-            });
-        }
-    }
-    let mut metrics = system.run(opts.max_cycles)?;
-    metrics.obs = system.take_observation();
-    Ok(SliceOutcome::Finished(Box::new(metrics)))
-}
-
-fn dispatch_slice(
-    kind: ProtocolKind,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-    replay: Option<ReplayTo>,
-) -> Result<SliceOutcome, SimError> {
-    match kind {
-        ProtocolKind::Mesi => run_slice(&MesiProtocol::new(cfg), cfg, workload, opts, replay),
-        ProtocolKind::MesiWb => run_slice(&MesiWbProtocol::new(cfg), cfg, workload, opts, replay),
-        ProtocolKind::TcStrong => run_slice(&TcProtocol::strong(cfg), cfg, workload, opts, replay),
-        ProtocolKind::TcWeak => run_slice(&TcProtocol::weak(cfg), cfg, workload, opts, replay),
-        ProtocolKind::RccSc => {
-            run_slice(&RccProtocol::sequential(cfg), cfg, workload, opts, replay)
-        }
-        ProtocolKind::RccWo => run_slice(
-            &RccProtocol::weakly_ordered(cfg),
-            cfg,
-            workload,
-            opts,
-            replay,
-        ),
-        ProtocolKind::IdealSc => run_slice(&IdealProtocol::new(cfg), cfg, workload, opts, replay),
-    }
-}
-
 /// Runs at most one quantum ([`SimOptions::quantum`]) of `workload` under
 /// `kind`, from the beginning of the run. Returns
 /// [`SliceOutcome::Finished`] with full metrics when the run completes
@@ -385,11 +364,7 @@ pub fn try_simulate_slice(
     workload: &Workload,
     opts: &SimOptions,
 ) -> Result<SliceOutcome, SimError> {
-    let out = dispatch_slice(kind, cfg, workload, opts, None)?;
-    if let SliceOutcome::Finished(metrics) = &out {
-        verify_metrics(kind, workload.name, opts, metrics)?;
-    }
-    Ok(out)
+    run_kind(kind, cfg, workload, opts, None, opts.quantum)
 }
 
 /// Continues a run preempted by [`try_simulate_slice`]: replays to the
@@ -406,37 +381,14 @@ pub fn resume_slice(ck: &Checkpoint) -> Result<SliceOutcome, SimError> {
         cycle: ck.cycle,
         state_digest: ck.state_digest,
     };
-    let out = dispatch_slice(ck.kind, &ck.cfg, &ck.workload, &ck.opts, Some(replay))?;
-    if let SliceOutcome::Finished(metrics) = &out {
-        verify_metrics(ck.kind, ck.workload.name, &ck.opts, metrics)?;
-    }
-    Ok(out)
-}
-
-fn dispatch(
-    kind: ProtocolKind,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-    replay: Option<ReplayTo>,
-) -> Result<RunMetrics, SimError> {
-    match kind {
-        ProtocolKind::Mesi => run_system(&MesiProtocol::new(cfg), cfg, workload, opts, replay),
-        ProtocolKind::MesiWb => run_system(&MesiWbProtocol::new(cfg), cfg, workload, opts, replay),
-        ProtocolKind::TcStrong => run_system(&TcProtocol::strong(cfg), cfg, workload, opts, replay),
-        ProtocolKind::TcWeak => run_system(&TcProtocol::weak(cfg), cfg, workload, opts, replay),
-        ProtocolKind::RccSc => {
-            run_system(&RccProtocol::sequential(cfg), cfg, workload, opts, replay)
-        }
-        ProtocolKind::RccWo => run_system(
-            &RccProtocol::weakly_ordered(cfg),
-            cfg,
-            workload,
-            opts,
-            replay,
-        ),
-        ProtocolKind::IdealSc => run_system(&IdealProtocol::new(cfg), cfg, workload, opts, replay),
-    }
+    run_kind(
+        ck.kind,
+        &ck.cfg,
+        &ck.workload,
+        &ck.opts,
+        Some(replay),
+        ck.opts.quantum,
+    )
 }
 
 fn verify_metrics(
@@ -482,9 +434,7 @@ pub fn try_simulate(
     workload: &Workload,
     opts: &SimOptions,
 ) -> Result<RunMetrics, SimError> {
-    let metrics = dispatch(kind, cfg, workload, opts, None)?;
-    verify_metrics(kind, workload.name, opts, &metrics)?;
-    Ok(metrics)
+    run_whole(kind, cfg, workload, opts, None)
 }
 
 /// Runs `workload` on the machine `cfg` under `kind`, returning the run's
@@ -533,7 +483,5 @@ pub fn resume_checkpoint(ck: &Checkpoint) -> Result<RunMetrics, SimError> {
         cycle: ck.cycle,
         state_digest: ck.state_digest,
     };
-    let metrics = dispatch(ck.kind, &ck.cfg, &ck.workload, &ck.opts, Some(replay))?;
-    verify_metrics(ck.kind, ck.workload.name, &ck.opts, &metrics)?;
-    Ok(metrics)
+    run_whole(ck.kind, &ck.cfg, &ck.workload, &ck.opts, Some(replay))
 }

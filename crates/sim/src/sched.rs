@@ -11,12 +11,13 @@
 //! # Determinism
 //!
 //! The queue decides *when* the next cycle is, never *in what order*
-//! components run within it: the engine always executes a scheduled
-//! cycle in the same fixed phase order (and fixed component order within
-//! a phase) as the legacy stepped loop. Two runs that arm the same
-//! wakes therefore execute bit-identically, and a scheduled run is
-//! bit-identical to a stepped one because every skipped cycle is proven
-//! action-free by the components' own exact `next_event` contracts.
+//! components run within it: the engine always executes a cycle in one
+//! fixed phase order (and fixed component order within a phase). Two
+//! runs that arm the same wakes therefore execute bit-identically. A
+//! stepped run is the same loop with every component due every cycle,
+//! and a skipping run is bit-identical to it because every skipped cycle
+//! is proven action-free by the components' own exact `next_event`
+//! contracts.
 //!
 //! # The armed array is the queue
 //!

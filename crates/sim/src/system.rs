@@ -225,8 +225,9 @@ pub struct System<P: Protocol> {
     /// updated with before/after deltas at every controller call site so
     /// the per-cycle drain checks are O(1).
     mem_pending: usize,
-    /// Whether `run` uses the event-driven engine (wake table of exact
-    /// wake events) instead of stepping every cycle.
+    /// Whether `run_until` skips to the next armed wake (the default) or
+    /// advances one cycle at a time with every component due (stepped
+    /// mode, the reference the determinism tests compare against).
     ff_enabled: bool,
     /// Cycles skipped by the event-driven engine (simulated results are
     /// unaffected; this only measures how much stepping was avoided).
@@ -236,10 +237,6 @@ pub struct System<P: Protocol> {
     /// Table of exact per-component wake cycles (the event-driven
     /// engine's core; see [`crate::sched`]).
     sched: EventQueue,
-    /// True while `run_until` is driving the event-driven engine. Gates
-    /// queue arming and lazy core replay inside helpers shared with the
-    /// legacy stepped engine.
-    scheduled_mode: bool,
     /// Per-core cycle through which per-cycle stall bookkeeping has been
     /// accounted (by a real tick or a `Core::fast_forward` replay). The
     /// event-driven engine leaves un-woken cores untouched and replays
@@ -361,7 +358,6 @@ impl<P: Protocol> System<P> {
             // cores | l1s | req net | resp net | banks | inboxes |
             // pipes | drams | rollover coordinator.
             sched: EventQueue::new(2 * cfg.num_cores + 2 + 4 * nparts + 1),
-            scheduled_mode: false,
             synced_to: vec![0; cfg.num_cores],
             spin_state: vec![SpinState::Idle; cfg.num_cores],
             spin_delta: vec![L1Stats::default(); cfg.num_cores],
@@ -526,9 +522,9 @@ impl<P: Protocol> System<P> {
     }
 
     /// Enables or disables idle-cycle fast-forwarding (on by default).
-    /// Results are bit-identical either way; disabling forces the run to
-    /// step through every cycle (the reference behaviour the determinism
-    /// tests compare against).
+    /// Results are bit-identical either way; disabling makes the same
+    /// loop run every component every cycle (the reference behaviour the
+    /// determinism tests compare against).
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.ff_enabled = enabled;
     }
@@ -642,13 +638,10 @@ impl<P: Protocol> System<P> {
             let flits = Self::bill_req(&mut self.traffic, &self.cfg, &req);
             self.req_net.inject(self.cycle, core, part, 0, flits, req);
         }
-        if injected && self.scheduled_mode {
+        if injected {
             self.arm_req_from_state();
         }
-        if self.scheduled_mode
-            && !out.completions.is_empty()
-            && self.rollover == RolloverState::Idle
-        {
+        if !out.completions.is_empty() && self.rollover == RolloverState::Idle {
             // A completion is an *input* to the core: replay the idle gap
             // before delivering it, and make sure the core wakes for it
             // (its own wake hint could not have foreseen this input).
@@ -779,26 +772,22 @@ impl<P: Protocol> System<P> {
             self.l1s[core.index()].magic(self.cycle, line, action);
             self.mem_pending += self.l1s[core.index()].pending();
             self.mem_pending -= before;
-            if self.scheduled_mode {
+            self.sched
+                .arm_min(self.comp_l1(core.index()), self.cycle.raw());
+            if self.spin_state[core.index()] == SpinState::Active {
+                // The magic action mutated L1 state: the reject fixed
+                // point may no longer hold.
                 self.sched
-                    .arm_min(self.comp_l1(core.index()), self.cycle.raw());
-                if self.spin_state[core.index()] == SpinState::Active {
-                    // The magic action mutated L1 state: the reject
-                    // fixed point may no longer hold.
-                    self.sched
-                        .arm_min(self.comp_core(core.index()), self.cycle.raw());
-                }
+                    .arm_min(self.comp_core(core.index()), self.cycle.raw());
             }
         }
-        if self.scheduled_mode {
-            self.arm_pipe_from_state(part, wake_floor);
-            self.arm_dram_from_state(part, wake_floor);
-        }
+        self.arm_pipe_from_state(part, wake_floor);
+        self.arm_dram_from_state(part, wake_floor);
     }
 
     /// Total outstanding work anywhere in the memory system — the
-    /// incrementally maintained counter ([`System::step`] cross-checks
-    /// it against the full scan in debug builds).
+    /// incrementally maintained counter ([`System::step_cycle`]
+    /// cross-checks it against the full scan in debug builds).
     fn memory_system_pending(&self) -> usize {
         self.mem_pending
     }
@@ -822,7 +811,7 @@ impl<P: Protocol> System<P> {
     // cores | L1s | req net | resp net | L2 banks | bank inboxes |
     // L2 delay pipes | DRAM channels | rollover coordinator. Execution
     // order within a scheduled cycle is the fixed phase order of
-    // `step_scheduled`, so the layout only has to be *stable*, not
+    // `step_cycle`, so the layout only has to be *stable*, not
     // meaningful.
     // ------------------------------------------------------------------
 
@@ -1001,9 +990,6 @@ impl<P: Protocol> System<P> {
     /// `run_until` exit (metrics / state digests / checkpoints read
     /// `&self`) and before building a hang dump or typed error.
     fn sync_cores_to_now(&mut self) {
-        if !self.scheduled_mode {
-            return;
-        }
         let now = self.cycle.raw();
         if self.rollover == RolloverState::Idle {
             for i in 0..self.cores.len() {
@@ -1019,11 +1005,10 @@ impl<P: Protocol> System<P> {
     }
 
     /// Derives every queue slot from component state, discarding any
-    /// previous arms. Called when the event-driven engine (re)gains
-    /// control of the system, making the queue exact regardless of what
-    /// ran before (construction, legacy stepping, checkpoint restore).
+    /// previous arms. Called whenever `run_until` takes control of the
+    /// system, making the queue exact regardless of what ran before
+    /// (construction, an earlier `run_until`, checkpoint restore).
     fn prime_sched(&mut self) {
-        self.scheduled_mode = true;
         let now = self.cycle.raw();
         let floor = now + 1;
         self.sched.reset();
@@ -1046,229 +1031,6 @@ impl<P: Protocol> System<P> {
             self.arm_dram_from_state(p, floor);
         }
         self.arm_rollover_from_state(floor);
-    }
-
-    /// Advances the system by one cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] (with a full forensic
-    /// [`HangDump`]) when the watchdog detects no forward progress, and
-    /// [`SimError::ProtocolInvariant`] when completion bookkeeping broke
-    /// an engine invariant this cycle. The system is left intact either
-    /// way, so callers can still read metrics or dump state.
-    pub fn step(&mut self) -> Result<(), SimError> {
-        // Manual stepping invalidates the event queue (it does not keep
-        // arms current); the next scheduled run re-primes from state.
-        self.scheduled_mode = false;
-        self.cycle += 1;
-        let cycle = self.cycle;
-        let mut mark = None;
-        if let Some(p) = &mut self.profile {
-            p.steps += 1;
-            if p.steps.is_multiple_of(PROFILE_STRIDE) {
-                // rcc-lint: allow(wall-clock, self-profiling phase mark; never feeds simulated state)
-                mark = Some(std::time::Instant::now());
-            }
-        }
-
-        // 1. Response network → L1s.
-        let mut delivered = std::mem::take(&mut self.scratch_resp);
-        self.resp_net.deliver_into(cycle, &mut delivered);
-        self.mem_pending -= delivered.len();
-        for (dst, resp) in delivered.drain(..) {
-            let mut out = std::mem::take(&mut self.scratch_l1);
-            let before = self.l1s[dst].pending();
-            self.l1s[dst].handle_resp(cycle, resp, &mut out);
-            self.mem_pending += self.l1s[dst].pending();
-            self.mem_pending -= before;
-            self.process_l1_out(dst, &mut out, cycle.raw());
-            self.scratch_l1 = out;
-        }
-        self.scratch_resp = delivered;
-        self.charge(&mut mark, SimPhase::L1);
-
-        // 2. Request network → bank inboxes (flush acks are intercepted
-        //    by the rollover coordinator).
-        let mut delivered = std::mem::take(&mut self.scratch_req);
-        self.req_net.deliver_into(cycle, &mut delivered);
-        self.mem_pending -= delivered.len();
-        for (dst, req) in delivered.drain(..) {
-            if matches!(req.payload, ReqPayload::FlushAck) {
-                if let RolloverState::Flushing { acks_outstanding } = &mut self.rollover {
-                    *acks_outstanding -= 1;
-                }
-                continue;
-            }
-            self.l2_inbox[dst].push_back(req);
-            self.mem_pending += 1;
-        }
-        self.scratch_req = delivered;
-        self.charge(&mut mark, SimPhase::Noc);
-
-        // 3. L2 banks: tick, then serve one request per cycle.
-        for p in 0..self.l2s.len() {
-            let mut out = std::mem::take(&mut self.scratch_l2);
-            let before = self.l2s[p].pending();
-            self.l2s[p].tick(cycle, &mut out);
-            self.mem_pending += self.l2s[p].pending();
-            self.mem_pending -= before;
-            if !out.is_empty() {
-                self.process_l2_out(p, &mut out, cycle.raw());
-            }
-            if let Some(req) = self.l2_inbox[p].pop_front() {
-                self.mem_pending -= 1;
-                let before = self.l2s[p].pending();
-                match self.l2s[p].handle_req(cycle, req, &mut out) {
-                    Ok(()) => {
-                        self.mem_pending += self.l2s[p].pending();
-                        self.mem_pending -= before;
-                        self.process_l2_out(p, &mut out, cycle.raw());
-                    }
-                    Err(req) => {
-                        self.mem_pending += self.l2s[p].pending();
-                        self.mem_pending -= before;
-                        out.clear(); // discard any partial output
-                        self.l2_inbox[p].push_front(req);
-                        self.mem_pending += 1;
-                    }
-                }
-            }
-            self.scratch_l2 = out;
-        }
-        self.charge(&mut mark, SimPhase::L2);
-
-        // 4. L2 delay pipes → response network (one message leaves the
-        //    pipe, one enters the network: pending is unchanged).
-        for p in 0..self.l2_delay.len() {
-            while let Some((ready, _)) = self.l2_delay[p].front() {
-                if *ready > cycle.raw() {
-                    break;
-                }
-                let Some((_, resp)) = self.l2_delay[p].pop_front() else {
-                    break;
-                };
-                let dst = resp.dst.index();
-                let flits = Self::bill_resp(&mut self.traffic, &self.cfg, &resp);
-                self.resp_net.inject(cycle, p, dst, 1, flits, resp);
-            }
-        }
-        self.charge(&mut mark, SimPhase::Noc);
-
-        // 5. DRAM.
-        for p in 0..self.drams.len() {
-            let before = self.drams[p].pending();
-            let lines = self.drams[p].tick(cycle);
-            self.mem_pending += self.drams[p].pending();
-            self.mem_pending -= before;
-            for line in lines {
-                let data = self.memory.get(&line).cloned().unwrap_or_default();
-                let mut out = std::mem::take(&mut self.scratch_l2);
-                let before = self.l2s[p].pending();
-                self.l2s[p].handle_dram(cycle, line, data, &mut out);
-                self.mem_pending += self.l2s[p].pending();
-                self.mem_pending -= before;
-                self.process_l2_out(p, &mut out, cycle.raw() + 1);
-                self.scratch_l2 = out;
-            }
-        }
-        self.charge(&mut mark, SimPhase::Dram);
-
-        // 6. Rollover coordination.
-        self.advance_rollover();
-        self.charge(&mut mark, SimPhase::Rollover);
-
-        // 7. Cores + L1 ticks (paused while a rollover is in progress).
-        let issuing = self.rollover == RolloverState::Idle;
-        for i in 0..self.cores.len() {
-            let mut out = std::mem::take(&mut self.scratch_l1);
-            let before = self.l1s[i].pending();
-            self.l1s[i].tick(cycle, &mut out);
-            if issuing && !self.cores[i].done() {
-                let l1 = &mut self.l1s[i];
-                let recorder = &mut self.recorder;
-                let chaos = &mut self.chaos_access;
-                let mut issued_any = false;
-                let core_out = self.cores[i].tick(cycle, |access| {
-                    if let Some(c) = chaos.as_mut() {
-                        if c.fires(Site::L1Access) {
-                            // Bounce before the access reaches the L1 (or
-                            // the recorder): the warp retries next cycle,
-                            // modelling a variable L1 service latency.
-                            return AccessOutcome::Reject(RejectReason::ChaosStall);
-                        }
-                    }
-                    recorder.note_issue(i, access);
-                    let outcome = l1.access(cycle, access, &mut out);
-                    match &outcome {
-                        AccessOutcome::Done(c) => {
-                            recorder.note_completion(i, c);
-                            issued_any = true;
-                        }
-                        AccessOutcome::Pending => issued_any = true,
-                        AccessOutcome::Reject(_) => {
-                            // The access never started; forget what the
-                            // recorder registered for it.
-                            recorder.note_reject(i, access);
-                        }
-                    }
-                    outcome
-                });
-                if issued_any {
-                    self.last_progress = cycle.raw();
-                }
-                // Trace capture: one branch when unarmed, and the tap
-                // reads only the tick's ephemeral output, so recording
-                // cannot perturb the simulated machine.
-                if let Some(tr) = &mut self.trace_rec {
-                    if let Some((w, pc)) = core_out.issued_op {
-                        tr.note_issue(i, w, pc, cycle.raw());
-                    }
-                }
-                for _warp in core_out.fences_retired {
-                    // RCC-WO: joining the views is a core-level action.
-                    self.l1s[i].fence();
-                    self.last_progress = cycle.raw();
-                }
-            }
-            self.mem_pending += self.l1s[i].pending();
-            self.mem_pending -= before;
-            self.process_l1_out(i, &mut out, cycle.raw() + 1);
-            self.scratch_l1 = out;
-        }
-        self.charge(&mut mark, SimPhase::Core);
-
-        // 8. Observation (one branch when no observer is armed; sample
-        //    boundaries are always stepped because fast-forward caps its
-        //    jumps at the next boundary).
-        if let Some(obs) = &self.obs {
-            if obs.sample_due(cycle.raw()) {
-                self.take_sample();
-            }
-            self.charge(&mut mark, SimPhase::Sample);
-        }
-
-        debug_assert_eq!(
-            self.mem_pending,
-            self.memory_system_pending_scan(),
-            "incremental pending counter diverged at {cycle}"
-        );
-
-        if let Some(detail) = self.recorder.invariant_failure.take() {
-            return Err(SimError::ProtocolInvariant {
-                kind: self.kind,
-                workload: self.workload_name.clone(),
-                cycle: cycle.raw(),
-                detail,
-            });
-        }
-
-        // Watchdog: no forward progress for a full threshold window is a
-        // deadlock. Emit the forensic dump instead of aborting.
-        if cycle.raw() - self.last_progress > self.cfg.watchdog_cycles {
-            return Err(SimError::Deadlock(Box::new(self.hang_dump())));
-        }
-        Ok(())
     }
 
     /// Assembles the forensic dump of the (presumed hung) machine: every
@@ -1434,17 +1196,14 @@ impl<P: Protocol> System<P> {
             RolloverState::Idle => {
                 if self.l2s.iter().any(|l2| l2.needs_rollover()) {
                     self.rollover = RolloverState::Draining;
-                    if self.scheduled_mode {
-                        // Cores pause from this cycle on: settle their
-                        // lazy bookkeeping (through the last cycle they
-                        // ran) and park their wake slots until the
-                        // rollover completes.
-                        let now = self.cycle.raw();
-                        for i in 0..self.cores.len() {
-                            self.sync_core_through(i, now.saturating_sub(1));
-                            self.synced_to[i] = now;
-                            self.sched.disarm(self.comp_core(i));
-                        }
+                    // Cores pause from this cycle on: settle their lazy
+                    // bookkeeping (through the last cycle they ran) and
+                    // park their wake slots until the rollover completes.
+                    let now = self.cycle.raw();
+                    for i in 0..self.cores.len() {
+                        self.sync_core_through(i, now.saturating_sub(1));
+                        self.synced_to[i] = now;
+                        self.sched.disarm(self.comp_core(i));
                     }
                     if let Some(obs) = &mut self.obs {
                         if obs.tracing() {
@@ -1489,9 +1248,7 @@ impl<P: Protocol> System<P> {
                         acks_outstanding: self.cores.len(),
                     };
                     self.last_progress = self.cycle.raw();
-                    if self.scheduled_mode {
-                        self.arm_resp_from_state();
-                    }
+                    self.arm_resp_from_state();
                 }
             }
             RolloverState::Flushing { acks_outstanding } => {
@@ -1500,16 +1257,14 @@ impl<P: Protocol> System<P> {
                     self.recorder.epoch_base = self.recorder.max_ts_seen + 1;
                     self.rollover = RolloverState::Idle;
                     self.last_progress = self.cycle.raw();
-                    if self.scheduled_mode {
-                        // Cores resume *this* cycle (the core phase runs
-                        // after this one): their first tick covers the
-                        // current cycle's bookkeeping itself.
-                        let now = self.cycle.raw();
-                        for i in 0..self.cores.len() {
-                            self.synced_to[i] = now.saturating_sub(1);
-                            if !self.cores[i].done() {
-                                self.sched.arm_min(self.comp_core(i), now);
-                            }
+                    // Cores resume *this* cycle (the core phase runs after
+                    // this one): their first tick covers the current
+                    // cycle's bookkeeping itself.
+                    let now = self.cycle.raw();
+                    for i in 0..self.cores.len() {
+                        self.synced_to[i] = now.saturating_sub(1);
+                        if !self.cores[i].done() {
+                            self.sched.arm_min(self.comp_core(i), now);
                         }
                     }
                     if let Some(obs) = &mut self.obs {
@@ -1615,19 +1370,31 @@ impl<P: Protocol> System<P> {
         (best != u64::MAX).then_some(best)
     }
 
-    /// One scheduled cycle of the event-driven engine. `self.cycle` has
-    /// already been set to the popped wake cycle; this executes the
-    /// *due* components in exactly the legacy phase order (and fixed
-    /// component order within each phase), consuming each due wake and
-    /// re-arming from fresh component state. A due wake is always
-    /// consumed even when its action is skipped (e.g. a core wake while
-    /// a rollover pauses issue) so the queue never reports a wake at or
-    /// before the current cycle.
+    /// Consumes component `comp`'s wake if it is due at cycle `n`. In
+    /// stepped mode every component is due every cycle, even one whose
+    /// wake a re-arm earlier in the cycle moved past `n`, so a re-arm
+    /// that wrongly wipes a due wake shows up as a lockstep divergence.
+    #[inline]
+    fn take_due(&mut self, comp: usize, n: u64) -> bool {
+        self.sched.take_due(comp, n) || !self.ff_enabled
+    }
+
+    /// Executes one cycle. `self.cycle` has already been set to the
+    /// popped wake cycle; this runs the *due* components in the fixed
+    /// phase order (and fixed component order within each phase),
+    /// consuming each due wake and re-arming from fresh component state.
+    /// A due wake is always consumed even when its action is skipped
+    /// (e.g. a core wake while a rollover pauses issue) so the queue
+    /// never reports a wake at or before the current cycle.
     ///
     /// # Errors
     ///
-    /// Same contract as [`System::step`].
-    fn step_scheduled(&mut self) -> Result<(), SimError> {
+    /// Returns [`SimError::Deadlock`] (with a full forensic
+    /// [`HangDump`]) when the watchdog detects no forward progress, and
+    /// [`SimError::ProtocolInvariant`] when completion bookkeeping broke
+    /// an engine invariant this cycle. The system is left intact either
+    /// way, so callers can still read metrics or dump state.
+    fn step_cycle(&mut self) -> Result<(), SimError> {
         let cycle = self.cycle;
         let n = cycle.raw();
         let mut mark = None;
@@ -1640,7 +1407,7 @@ impl<P: Protocol> System<P> {
         }
 
         // 1. Response network → L1s.
-        if self.sched.take_due(self.comp_resp(), n) {
+        if self.take_due(self.comp_resp(), n) {
             let mut delivered = std::mem::take(&mut self.scratch_resp);
             self.resp_net.deliver_into(cycle, &mut delivered);
             self.mem_pending -= delivered.len();
@@ -1677,7 +1444,7 @@ impl<P: Protocol> System<P> {
 
         // 2. Request network → bank inboxes (flush acks are intercepted
         //    by the rollover coordinator).
-        if self.sched.take_due(self.comp_req(), n) {
+        if self.take_due(self.comp_req(), n) {
             let mut delivered = std::mem::take(&mut self.scratch_req);
             self.req_net.deliver_into(cycle, &mut delivered);
             self.mem_pending -= delivered.len();
@@ -1699,8 +1466,8 @@ impl<P: Protocol> System<P> {
 
         // 3. L2 banks: tick, then serve one request per cycle.
         for p in 0..self.l2s.len() {
-            let bank_due = self.sched.take_due(self.comp_bank(p), n);
-            let inbox_due = self.sched.take_due(self.comp_inbox(p), n);
+            let bank_due = self.take_due(self.comp_bank(p), n);
+            let inbox_due = self.take_due(self.comp_inbox(p), n);
             if !bank_due && !inbox_due {
                 continue;
             }
@@ -1743,7 +1510,7 @@ impl<P: Protocol> System<P> {
         // 4. L2 delay pipes → response network.
         let mut resp_injected = false;
         for p in 0..self.l2_delay.len() {
-            if !self.sched.take_due(self.comp_pipe(p), n) {
+            if !self.take_due(self.comp_pipe(p), n) {
                 continue;
             }
             while let Some((ready, _)) = self.l2_delay[p].front() {
@@ -1767,7 +1534,7 @@ impl<P: Protocol> System<P> {
 
         // 5. DRAM.
         for p in 0..self.drams.len() {
-            if !self.sched.take_due(self.comp_dram(p), n) {
+            if !self.take_due(self.comp_dram(p), n) {
                 continue;
             }
             let before = self.drams[p].pending();
@@ -1796,7 +1563,7 @@ impl<P: Protocol> System<P> {
         //    are enabled by same-cycle events from the phases above, and
         //    the coordinator's own queue slot covers the one case where
         //    a transition is due with nothing else armed).
-        self.sched.take_due(self.comp_rollover(), n);
+        self.take_due(self.comp_rollover(), n);
         self.advance_rollover();
         self.arm_rollover_from_state(n + 1);
         self.charge(&mut mark, SimPhase::Rollover);
@@ -1804,8 +1571,8 @@ impl<P: Protocol> System<P> {
         // 7. Cores + L1 ticks (paused while a rollover is in progress).
         let issuing = self.rollover == RolloverState::Idle;
         for i in 0..self.cores.len() {
-            let l1_due = self.sched.take_due(self.comp_l1(i), n);
-            let core_due = self.sched.take_due(self.comp_core(i), n);
+            let l1_due = self.take_due(self.comp_l1(i), n);
+            let core_due = self.take_due(self.comp_core(i), n);
             if !l1_due && !core_due {
                 continue;
             }
@@ -1873,9 +1640,9 @@ impl<P: Protocol> System<P> {
                 if issued_any {
                     self.last_progress = n;
                 }
-                // Trace capture (see the stepped engine's tap): the
-                // same ephemeral per-tick output feeds the recorder,
-                // so both engines record identical traces.
+                // Trace capture: one branch when unarmed, and the tap
+                // reads only the tick's ephemeral output, so recording
+                // cannot perturb the simulated machine.
                 if let Some(tr) = &mut self.trace_rec {
                     if let Some((w, pc)) = core_out.issued_op {
                         tr.note_issue(i, w, pc, n);
@@ -1948,20 +1715,29 @@ impl<P: Protocol> System<P> {
         Ok(())
     }
 
-    /// The event-driven engine loop: pop the earliest armed wake, jump
+    /// Advances the system until it finishes or reaches cycle `target`
+    /// (whichever comes first): pop the earliest armed wake, jump
     /// straight to it, execute the due components, repeat. Gap cycles
     /// are proven action-free by the components' exact wake events, so
-    /// results are bit-identical to the stepped loop; per-core stall
+    /// skipping them is invisible in every result; per-core stall
     /// bookkeeping over gaps is replayed lazily ([`Core::fast_forward`])
-    /// the next time each core runs.
-    fn run_scheduled(&mut self, target: u64) -> Result<(), SimError> {
+    /// the next time each core runs. With fast-forward off, the same
+    /// loop advances one cycle at a time and every component is due
+    /// every cycle (`System::take_due`). Jumps are capped at `target`,
+    /// so the boundary cycle is executed exactly — the checkpoint writer
+    /// relies on that to snapshot bit-reproducible states.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`SimError`] from `System::step_cycle`.
+    pub fn run_until(&mut self, target: u64) -> Result<(), SimError> {
         // Derive every wake from component state: cheap, and makes the
         // engine correct regardless of what ran before (construction,
-        // manual `step` calls, checkpoint restore).
+        // an earlier `run_until`, checkpoint restore).
         self.prime_sched();
         while !self.done() && self.cycle.raw() < target {
             // This mark covers the queue pop + jump that precede the
-            // step; it samples the same steps as `step_scheduled` (which
+            // step; it samples the same steps as `step_cycle` (which
             // increments the counter this predicate anticipates).
             let mut mark = None;
             if let Some(p) = &self.profile {
@@ -1974,11 +1750,18 @@ impl<P: Protocol> System<P> {
             // The watchdog must observe the threshold crossing exactly
             // where a stepped run would report it.
             let deadline = self.last_progress + self.cfg.watchdog_cycles + 1;
-            let wake = self.sched.next_wake();
+            let wake = if self.ff_enabled {
+                self.sched.next_wake()
+            } else {
+                // Stepped mode: every component is due next cycle.
+                Some(now + 1)
+            };
+            // (In stepped mode the wake is `now + 1`, which no scan can
+            // undercut, so the oracle only runs when skipping.)
             #[cfg(debug_assertions)]
-            if !self.spin_state.contains(&SpinState::Active) {
+            if self.ff_enabled && !self.spin_state.contains(&SpinState::Active) {
                 if let Some(scan) = self.next_event_cycle() {
-                    // Oracle: the legacy conservative min-scan may never
+                    // Oracle: the conservative min-scan may never
                     // see an event the queue missed. (The queue may be
                     // earlier: touch arms are consumed even when the
                     // action is skipped. During a reject-spin the queue
@@ -2021,32 +1804,11 @@ impl<P: Protocol> System<P> {
             }
             self.cycle = Cycle(next);
             self.charge(&mut mark, SimPhase::FastForward);
-            self.step_scheduled()?;
+            self.step_cycle()?;
         }
         // Core state escapes here (metrics, digests, checkpoints): settle
         // the lazy bookkeeping.
         self.sync_cores_to_now();
-        Ok(())
-    }
-
-    /// Advances the system until it finishes or reaches cycle `target`
-    /// (whichever comes first). The event-driven engine caps its jumps
-    /// at `target`, so the boundary cycle is executed exactly — the
-    /// checkpoint writer relies on that to snapshot bit-reproducible
-    /// states.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SimError`] from [`System::step`] /
-    /// [`System::step_scheduled`].
-    pub fn run_until(&mut self, target: u64) -> Result<(), SimError> {
-        if self.ff_enabled {
-            return self.run_scheduled(target);
-        }
-        self.scheduled_mode = false;
-        while !self.done() && self.cycle.raw() < target {
-            self.step()?;
-        }
         Ok(())
     }
 
@@ -2055,7 +1817,7 @@ impl<P: Protocol> System<P> {
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] / [`SimError::ProtocolInvariant`]
-    /// from [`System::step`], or [`SimError::CyclesExceeded`] when the
+    /// from `System::step_cycle`, or [`SimError::CyclesExceeded`] when the
     /// budget runs out before every warp retires.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunMetrics, SimError> {
         self.run_until(max_cycles)?;

@@ -187,12 +187,14 @@ fn observation_is_invisible_on_every_litmus_test() {
     }
 }
 
-// The event-driven engine must not merely reproduce the *metrics* of
-// the legacy stepped engine — the machine state itself must match at
-// every checkpoint boundary, or a checkpoint taken under one engine
-// would not resume bit-identically under the other. Lockstep the two
-// engines with `run_until` and compare full state digests at each
-// boundary, then the final metrics.
+// Skipping idle cycles must not merely reproduce the *metrics* of
+// stepping through them — the machine state itself must match at every
+// checkpoint boundary, or a checkpoint taken in one mode would not
+// resume bit-identically in the other. Stepped mode is the same engine
+// loop with every component due every cycle, so this checks exactly one
+// thing: that each skip is sound. Lockstep the two modes with
+// `run_until` and compare full state digests at each boundary, then the
+// final metrics.
 fn lockstep_digests<P: rcc_core::protocol::Protocol>(
     proto: &P,
     cfg: &GpuConfig,
@@ -232,25 +234,7 @@ fn lockstep_kind(
     stride: u64,
     label: &str,
 ) {
-    use rcc_core::ideal::IdealProtocol;
-    use rcc_core::mesi::{MesiProtocol, MesiWbProtocol};
-    use rcc_core::rcc::RccProtocol;
-    use rcc_core::tc::TcProtocol;
-    match kind {
-        ProtocolKind::Mesi => lockstep_digests(&MesiProtocol::new(cfg), cfg, wl, stride, label),
-        ProtocolKind::MesiWb => lockstep_digests(&MesiWbProtocol::new(cfg), cfg, wl, stride, label),
-        ProtocolKind::TcStrong => {
-            lockstep_digests(&TcProtocol::strong(cfg), cfg, wl, stride, label)
-        }
-        ProtocolKind::TcWeak => lockstep_digests(&TcProtocol::weak(cfg), cfg, wl, stride, label),
-        ProtocolKind::RccSc => {
-            lockstep_digests(&RccProtocol::sequential(cfg), cfg, wl, stride, label)
-        }
-        ProtocolKind::RccWo => {
-            lockstep_digests(&RccProtocol::weakly_ordered(cfg), cfg, wl, stride, label)
-        }
-        ProtocolKind::IdealSc => lockstep_digests(&IdealProtocol::new(cfg), cfg, wl, stride, label),
-    }
+    rcc_core::with_protocol!(kind, cfg, |p| lockstep_digests(p, cfg, wl, stride, label))
 }
 
 #[test]
@@ -270,13 +254,33 @@ fn scheduled_engine_matches_stepped_state_on_litmus() {
 fn scheduled_engine_matches_stepped_state_on_benchmarks() {
     // Long runs with realistic checkpoint spacing: dlb (load balancing,
     // bursty), bh (barrier phases, idle-heavy), hsp (streaming,
-    // contention-heavy).
+    // contention-heavy), lps (MESI-WB load misses spinning on a full
+    // MSHR: a rejected miss must not advance the L1's LRU counter, or
+    // the stepped retries and the skipped spin drift apart).
     let cfg = GpuConfig::small();
     for kind in KINDS {
-        for bench in [Benchmark::Dlb, Benchmark::Bh, Benchmark::Hsp] {
+        for bench in [
+            Benchmark::Dlb,
+            Benchmark::Bh,
+            Benchmark::Hsp,
+            Benchmark::Lps,
+        ] {
             let wl = bench.generate(&cfg, &Scale::quick(), 7);
             lockstep_kind(kind, &cfg, &wl, 2500, &format!("{kind}/{}", bench.name()));
         }
+    }
+}
+
+#[test]
+fn scheduled_engine_matches_stepped_state_on_frequent_livelock_bumps() {
+    // The min-arm rule (DESIGN.md): a response delivered to an RCC L1 on
+    // a livelock-bump cycle must not push the L1's due wake past that
+    // cycle. A 7-cycle bump interval makes such coincidences common.
+    let mut cfg = GpuConfig::small();
+    cfg.rcc.livelock_bump_interval = 7;
+    for kind in [ProtocolKind::RccSc, ProtocolKind::RccWo] {
+        let wl = Benchmark::Dlb.generate(&cfg, &Scale::quick(), 7);
+        lockstep_kind(kind, &cfg, &wl, 2500, &format!("{kind}/dlb/bump-7"));
     }
 }
 

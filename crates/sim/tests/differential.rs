@@ -77,19 +77,7 @@ fn run_kind(
     wl: &Workload,
     chaos: Option<&rcc_chaos::ChaosSpec>,
 ) -> (RunMetrics, Vec<(WordAddr, u64)>) {
-    use rcc_core::ideal::IdealProtocol;
-    use rcc_core::mesi::{MesiProtocol, MesiWbProtocol};
-    use rcc_core::rcc::RccProtocol;
-    use rcc_core::tc::TcProtocol;
-    match kind {
-        ProtocolKind::Mesi => run_system(&MesiProtocol::new(cfg), cfg, wl, chaos),
-        ProtocolKind::MesiWb => run_system(&MesiWbProtocol::new(cfg), cfg, wl, chaos),
-        ProtocolKind::TcStrong => run_system(&TcProtocol::strong(cfg), cfg, wl, chaos),
-        ProtocolKind::TcWeak => run_system(&TcProtocol::weak(cfg), cfg, wl, chaos),
-        ProtocolKind::RccSc => run_system(&RccProtocol::sequential(cfg), cfg, wl, chaos),
-        ProtocolKind::RccWo => run_system(&RccProtocol::weakly_ordered(cfg), cfg, wl, chaos),
-        ProtocolKind::IdealSc => run_system(&IdealProtocol::new(cfg), cfg, wl, chaos),
-    }
+    rcc_core::with_protocol!(kind, cfg, |p| run_system(p, cfg, wl, chaos))
 }
 
 fn load(name: &str, cfg: &GpuConfig) -> Workload {

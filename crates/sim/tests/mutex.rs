@@ -53,36 +53,27 @@ fn check_mutex(kind: ProtocolKind) {
     let cfg = GpuConfig::small();
     let (wl, tokens) = mutex_workload(&cfg, 6);
     let shared = LineAddr(1).word(0);
-    let run = |sys: &mut dyn FnMut() -> Vec<u64>, _: ()| sys();
-    let _ = run;
-    // Run via the concrete systems to reach the load log.
-    macro_rules! go {
-        ($p:expr) => {{
-            let mut sys = System::new(&$p, &cfg, &wl, false);
-            while !sys.done() {
-                sys.step().expect("mutex run fails");
-            }
-            for (core, warp, token) in &tokens {
-                let loads = sys.loads_of(*core, *warp, shared);
-                assert_eq!(loads.len(), 6, "{kind}: every section read back");
-                for v in loads {
-                    assert_eq!(
-                        v, token,
-                        "{kind}: warp {core}/{warp} saw a foreign token inside \
-                         its critical section — mutual exclusion broken"
-                    );
-                }
-            }
-        }};
-    }
-    match kind {
-        ProtocolKind::Mesi => go!(rcc_core::mesi::MesiProtocol::new(&cfg)),
-        ProtocolKind::MesiWb => go!(rcc_core::mesi::MesiWbProtocol::new(&cfg)),
-        ProtocolKind::TcStrong => go!(rcc_core::tc::TcProtocol::strong(&cfg)),
-        ProtocolKind::TcWeak => go!(rcc_core::tc::TcProtocol::weak(&cfg)),
-        ProtocolKind::RccSc => go!(rcc_core::rcc::RccProtocol::sequential(&cfg)),
-        ProtocolKind::RccWo => go!(rcc_core::rcc::RccProtocol::weakly_ordered(&cfg)),
-        ProtocolKind::IdealSc => go!(rcc_core::ideal::IdealProtocol::new(&cfg)),
+    // Run via the concrete system to reach the load log.
+    let loads: Vec<Vec<u64>> = rcc_core::with_protocol!(kind, &cfg, |p| {
+        let mut sys = System::new(p, &cfg, &wl, false);
+        while !sys.done() {
+            sys.run_until(sys.cycle().raw() + 1)
+                .expect("mutex run fails");
+        }
+        tokens
+            .iter()
+            .map(|&(core, warp, _)| sys.loads_of(core, warp, shared).to_vec())
+            .collect()
+    });
+    for ((core, warp, token), loads) in tokens.iter().zip(&loads) {
+        assert_eq!(loads.len(), 6, "{kind}: every section read back");
+        for v in loads {
+            assert_eq!(
+                v, token,
+                "{kind}: warp {core}/{warp} saw a foreign token inside \
+                 its critical section — mutual exclusion broken"
+            );
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 //! quanta is bit-identical to the uninterrupted run, and a corrupted
 //! in-memory snapshot fails typed instead of resuming wrong state.
 
+use proptest::prelude::*;
 use rcc_common::GpuConfig;
 use rcc_core::ProtocolKind;
 use rcc_sim::runner::{resume_slice, try_simulate, try_simulate_slice, SimOptions};
@@ -100,4 +101,68 @@ fn profiled_slices_return_a_self_profile() {
         let (plain, _) = sliced_metrics(quantum);
         assert_eq!(m.digest(SEED), plain.digest(SEED), "profiling is passive");
     }
+}
+
+/// Runs a slice chain at `quantum` to completion.
+fn chain(kind: ProtocolKind, opts: &SimOptions) -> rcc_sim::RunMetrics {
+    let cfg = GpuConfig::small();
+    let wl = Benchmark::Dlb.generate(&cfg, &Scale::quick(), SEED);
+    let mut out = try_simulate_slice(kind, &cfg, &wl, opts).expect("first slice");
+    loop {
+        match out {
+            SliceOutcome::Finished(m) => return *m,
+            SliceOutcome::Preempted { ck, .. } => out = resume_slice(&ck).expect("resume"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Any quantum from an eighth of the run to the whole run, on every
+    /// protocol: the slice chain's results equal the uninterrupted run's.
+    #[test]
+    fn any_quantum_reproduces_the_uninterrupted_run(permille in 125u64..=1000) {
+        let cfg = GpuConfig::small();
+        let wl = Benchmark::Dlb.generate(&cfg, &Scale::quick(), SEED);
+        for kind in ProtocolKind::ALL {
+            let direct = try_simulate(kind, &cfg, &wl, &SimOptions::fast()).expect("direct run");
+            let opts = SimOptions {
+                quantum: (direct.cycles * permille / 1000).max(1),
+                ..SimOptions::fast()
+            };
+            let sliced = chain(kind, &opts);
+            prop_assert!(
+                sliced.same_simulated_results(&direct),
+                "{kind}: quantum {} changed the results",
+                opts.quantum
+            );
+        }
+    }
+}
+
+#[test]
+fn recording_run_finishes_in_one_slice_and_writes_its_trace() {
+    let cfg = GpuConfig::small();
+    let wl = Benchmark::Dlb.generate(&cfg, &Scale::quick(), SEED);
+    let path = std::env::temp_dir()
+        .join(format!("rcc-slice-record-{}.rcct", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let opts = SimOptions {
+        quantum: 4_000,
+        record_trace: Some(path.clone()),
+        ..SimOptions::fast()
+    };
+    let out = try_simulate_slice(ProtocolKind::RccSc, &cfg, &wl, &opts).expect("slice");
+    let SliceOutcome::Finished(m) = out else {
+        panic!("a recording run must not be preempted");
+    };
+    let trace = rcc_trace::Trace::load(&path).expect("trace written");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(format!("{path}.manifest.json"));
+    let direct =
+        try_simulate(ProtocolKind::RccSc, &cfg, &wl, &SimOptions::fast()).expect("direct run");
+    assert!(m.same_simulated_results(&direct), "recording is passive");
+    assert_eq!(trace.source.expect("provenance").cycles, m.cycles);
 }

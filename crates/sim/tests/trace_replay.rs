@@ -66,19 +66,7 @@ fn final_state(kind: ProtocolKind, cfg: &GpuConfig, wl: &Workload) -> (RunMetric
         let digest = system.state_digest();
         (metrics, digest)
     }
-    use rcc_core::ideal::IdealProtocol;
-    use rcc_core::mesi::{MesiProtocol, MesiWbProtocol};
-    use rcc_core::rcc::RccProtocol;
-    use rcc_core::tc::TcProtocol;
-    match kind {
-        ProtocolKind::Mesi => go(&MesiProtocol::new(cfg), cfg, wl),
-        ProtocolKind::MesiWb => go(&MesiWbProtocol::new(cfg), cfg, wl),
-        ProtocolKind::TcStrong => go(&TcProtocol::strong(cfg), cfg, wl),
-        ProtocolKind::TcWeak => go(&TcProtocol::weak(cfg), cfg, wl),
-        ProtocolKind::RccSc => go(&RccProtocol::sequential(cfg), cfg, wl),
-        ProtocolKind::RccWo => go(&RccProtocol::weakly_ordered(cfg), cfg, wl),
-        ProtocolKind::IdealSc => go(&IdealProtocol::new(cfg), cfg, wl),
-    }
+    rcc_core::with_protocol!(kind, cfg, |p| go(p, cfg, wl))
 }
 
 #[test]
